@@ -5,6 +5,8 @@
 //! capacity misses, and the cold-cache penalty after a thread migrates to
 //! another node (whose LLC does not hold its lines) — at O(1) per touch.
 
+use crate::overlay::SlotOverlay;
+
 /// Per-node last-level cache.
 #[derive(Debug, Clone)]
 pub struct Llc {
@@ -27,7 +29,7 @@ impl Llc {
     /// Touch a line address; inserts on miss. Returns `true` on hit.
     #[inline]
     pub fn access(&mut self, line_addr: u64) -> bool {
-        let slot = (mix(line_addr) & self.mask) as usize;
+        let slot = self.slot(line_addr);
         if self.tags[slot] == line_addr {
             true
         } else {
@@ -36,13 +38,57 @@ impl Llc {
         }
     }
 
+    /// [`Llc::access`] against this frozen cache plus a worker's private
+    /// `overlay` of tag stores (sharded regions): the overlay's tag wins
+    /// where it has one, and a miss inserts into the overlay only.
+    #[inline]
+    pub(crate) fn access_overlaid(&self, overlay: &mut SlotOverlay<u64>, line_addr: u64) -> bool {
+        let slot = self.slot(line_addr);
+        // Lossless: `SlotOverlay` addresses `u32` slots, and
+        // `Llc::overlayable` holds for every cache an overlay covers.
+        let key = slot as u32;
+        let tag = overlay.get(key).copied().unwrap_or(self.tags[slot]);
+        if tag == line_addr {
+            true
+        } else {
+            overlay.insert(key, line_addr);
+            false
+        }
+    }
+
+    /// Whether every slot of this cache fits a [`SlotOverlay`] key.
+    pub(crate) fn overlayable(&self) -> bool {
+        u32::try_from(self.tags.len()).is_ok()
+    }
+
+    /// Write a worker's tag stores into this cache (the sharded merge).
+    pub(crate) fn apply(&mut self, overlay: &SlotOverlay<u64>) {
+        overlay.apply_to(&mut self.tags);
+    }
+
+    #[inline]
+    fn slot(&self, line_addr: u64) -> usize {
+        (mix(line_addr) & self.mask) as usize
+    }
+
+    /// Whether `line_addr` is resident, without touching it.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, line_addr: u64) -> bool {
+        self.tags[self.slot(line_addr)] == line_addr
+    }
+
+    /// The raw tag array.
+    #[cfg(test)]
+    pub(crate) fn tags(&self) -> &[u64] {
+        &self.tags
+    }
+
     /// Prefetch the host cache line holding `line_addr`'s tag slot.
     /// A pure latency hint: never reads or writes the tag, so it cannot
     /// affect hit/miss outcomes.
     #[inline]
     pub fn prefetch(&self, line_addr: u64) {
-        let slot = (mix(line_addr) & self.mask) as usize;
-        crate::mix::prefetch(&self.tags[slot]);
+        crate::mix::prefetch(&self.tags[self.slot(line_addr)]);
     }
 
     /// Invalidate everything (used by cold-run experiments).
@@ -102,6 +148,22 @@ mod tests {
             }
         }
         assert!(misses > 15_000, "only {misses} misses");
+    }
+
+    #[test]
+    fn overlaid_access_matches_direct_access_and_leaves_base_frozen() {
+        let mut direct = Llc::new(256, 40);
+        let base = direct.clone();
+        let mut overlay = SlotOverlay::new();
+        let lines: Vec<u64> = (0..2000u64).map(|i| (i * 7919) % 700).collect();
+        for &l in &lines {
+            let hit = base.access_overlaid(&mut overlay, l);
+            assert_eq!(hit, direct.access(l), "line {l}");
+        }
+        assert!(base.tags.iter().all(|&t| t == EMPTY));
+        let mut merged = base.clone();
+        merged.apply(&overlay);
+        assert_eq!(merged.tags, direct.tags);
     }
 
     #[test]

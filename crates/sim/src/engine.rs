@@ -30,6 +30,7 @@ use crate::fault::{ActiveFaults, FaultPlan};
 use crate::lock::{resolve_waits, LockId, LockTable, ThreadLockUse};
 use crate::mem::{MemDelta, Memory, ShardMemView, TouchResolution, VAddr, LINE, SMALL_PAGE};
 use crate::metrics::{Bottleneck, Counters, RegionStats};
+use crate::overlay::SlotOverlay;
 use crate::sched::{plan_region, ThreadSchedule};
 use crate::tlb::Tlb;
 use crate::trace::{TraceEvent, TraceLog, NO_TID};
@@ -519,21 +520,30 @@ impl NumaSim {
             return Err(e);
         }
 
-        // Deterministic epoch-boundary merge, ascending tid order: later
-        // tids win conflicting slots wholesale, exactly like the serial
-        // path's last-writer ordering.
+        // Deterministic epoch-boundary merge, ascending tid order.
+        // Writer-table and memory stores replay per tid, so the last
+        // writer of each slot wins, like the serial path. Each node's LLC
+        // takes the region-start tags plus the stores of the *highest*
+        // tid that accessed it (hits included); lower tids' insertions
+        // there are discarded (DESIGN.md §4h).
+        let mut llc_winners: Vec<Option<SlotOverlay<u64>>> = vec![None; self.caches.len()];
         for delta in deltas {
-            for (node, llc) in delta.llcs.into_iter().enumerate() {
-                if let Some(llc) = llc {
-                    self.caches[node] = llc;
+            for (winner, llc) in llc_winners.iter_mut().zip(delta.llcs) {
+                if llc.is_some() {
+                    *winner = llc;
                 }
             }
-            merge_writer(&mut self.writer_table, delta.writer);
+            delta.writer.apply_to(&mut self.writer_table);
             self.memory.merge_shard(delta.mem);
             if let Some(t) = self.trace.as_deref_mut() {
                 for (at, tid, ev) in delta.trace {
                     t.push(at, tid, ev);
                 }
+            }
+        }
+        for (llc, winner) in self.caches.iter_mut().zip(&llc_winners) {
+            if let Some(overlay) = winner {
+                llc.apply(overlay);
             }
         }
         let heat = self.collect_heat(&mut finished);
@@ -1433,20 +1443,40 @@ fn shard_map_fault() -> SimError {
     }
 }
 
-/// Worker handle on the per-node LLCs: lazily clones a node's LLC image
-/// into the worker on first mutation (sharded path). Indexing mirrors
-/// `Vec<Llc>` so `self.caches[node]` call sites compile unchanged.
+/// Worker handle on the per-node LLCs. On the sharded path each node
+/// gets a sparse tag overlay on the worker's first access to it; `Index`
+/// always reads the frozen cache (its hit latency, prefetch hints).
 enum CacheLink<'a> {
     Direct(&'a mut Vec<Llc>),
     Shard {
         base: &'a [Llc],
-        local: Vec<Option<Llc>>,
+        /// Per node: `None` until this worker first accesses the node's
+        /// LLC, then its tag stores. A worker that only hit still holds
+        /// `Some(empty)`: it counts as having accessed the node.
+        local: Vec<Option<SlotOverlay<u64>>>,
     },
 }
 
 impl<'a> CacheLink<'a> {
     fn shard(base: &'a [Llc]) -> Self {
+        assert!(
+            base.iter().all(Llc::overlayable),
+            "LLC too large for a sharded-region overlay"
+        );
         CacheLink::Shard { base, local: vec![None; base.len()] }
+    }
+
+    /// Touch `line` in `node`'s LLC; inserts on miss. Returns `true` on
+    /// hit.
+    #[inline]
+    fn access(&mut self, node: NodeId, line: u64) -> bool {
+        match self {
+            CacheLink::Direct(v) => v[node].access(line),
+            CacheLink::Shard { base, local } => {
+                let overlay = local[node].get_or_insert_with(SlotOverlay::new);
+                base[node].access_overlaid(overlay, line)
+            }
+        }
     }
 }
 
@@ -1456,55 +1486,51 @@ impl std::ops::Index<usize> for CacheLink<'_> {
     fn index(&self, i: usize) -> &Llc {
         match self {
             CacheLink::Direct(v) => &v[i],
-            CacheLink::Shard { base, local } => local[i].as_ref().unwrap_or(&base[i]),
+            CacheLink::Shard { base, .. } => &base[i],
         }
     }
 }
 
-impl std::ops::IndexMut<usize> for CacheLink<'_> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut Llc {
-        match self {
-            CacheLink::Direct(v) => &mut v[i],
-            CacheLink::Shard { base, local } => {
-                local[i].get_or_insert_with(|| base[i].clone())
-            }
-        }
-    }
-}
-
-/// Slots per copy-on-write chunk of the last-writer table. 4096 slots
-/// (64 KB) keeps the clone unit small enough that a worker touching a
-/// few hot lines copies kilobytes, not the table's megabytes.
-const WRITER_CHUNK: usize = 1 << 12;
-/// Chunks covering the whole table.
-const WRITER_CHUNKS: usize = WRITER_TABLE_SLOTS / WRITER_CHUNK;
-
-/// One cloned writer-table chunk plus a written-slot bitmap: the merge
-/// copies exactly the slots this worker stored, so workers writing
-/// disjoint slots of the same chunk never clobber each other.
-struct WriterChunk {
-    slots: [(u64, u32); WRITER_CHUNK],
-    written: [u64; WRITER_CHUNK / 64],
-}
-
-/// Worker handle on the last-writer table: chunked copy-on-write on the
-/// sharded path. `Index` is the read path; `IndexMut` is used by worker
-/// code exactly for stores, so it also marks the written bitmap.
+/// Worker handle on the last-writer table: the canonical table on the
+/// serial path, the frozen table plus a sparse overlay of this worker's
+/// stores on the sharded path. `Index` is the read path.
 enum WriterLink<'a> {
     Direct(&'a mut Vec<(u64, u32)>),
     Shard {
         base: &'a [(u64, u32)],
-        chunks: Vec<Option<Box<WriterChunk>>>,
+        stores: SlotOverlay<(u64, u32)>,
     },
 }
 
 impl<'a> WriterLink<'a> {
     fn shard(base: &'a [(u64, u32)]) -> Self {
-        WriterLink::Shard {
-            base,
-            chunks: std::iter::repeat_with(|| None).take(WRITER_CHUNKS).collect(),
+        assert!(
+            u32::try_from(base.len()).is_ok(),
+            "writer table too large for a sharded-region overlay"
+        );
+        WriterLink::Shard { base, stores: SlotOverlay::new() }
+    }
+
+    /// Record `value` as the last writer of `slot`.
+    #[inline]
+    fn store(&mut self, slot: usize, value: (u64, u32)) {
+        match self {
+            WriterLink::Direct(v) => v[slot] = value,
+            // Lossless: `WriterLink::shard` checked the table's length.
+            WriterLink::Shard { stores, .. } => stores.insert(slot as u32, value),
         }
+    }
+
+    /// Host prefetch hint for the table entry of `slot` (a pure latency
+    /// hint; overlay entries live in a small hot vector, so hinting the
+    /// table is the useful part).
+    #[inline]
+    fn prefetch(&self, slot: usize) {
+        let table: &[(u64, u32)] = match self {
+            WriterLink::Direct(v) => v,
+            WriterLink::Shard { base, .. } => base,
+        };
+        crate::mix::prefetch(&table[slot]);
     }
 }
 
@@ -1514,51 +1540,7 @@ impl std::ops::Index<usize> for WriterLink<'_> {
     fn index(&self, i: usize) -> &(u64, u32) {
         match self {
             WriterLink::Direct(v) => &v[i],
-            WriterLink::Shard { base, chunks } => match &chunks[i / WRITER_CHUNK] {
-                Some(c) => &c.slots[i % WRITER_CHUNK],
-                None => &base[i],
-            },
-        }
-    }
-}
-
-impl std::ops::IndexMut<usize> for WriterLink<'_> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut (u64, u32) {
-        match self {
-            WriterLink::Direct(v) => &mut v[i],
-            WriterLink::Shard { base, chunks } => {
-                let c = chunks[i / WRITER_CHUNK].get_or_insert_with(|| {
-                    let start = i / WRITER_CHUNK * WRITER_CHUNK;
-                    let mut c = Box::new(WriterChunk {
-                        slots: [(0u64, 0u32); WRITER_CHUNK],
-                        written: [0; WRITER_CHUNK / 64],
-                    });
-                    c.slots.copy_from_slice(&base[start..start + WRITER_CHUNK]);
-                    c
-                });
-                let off = i % WRITER_CHUNK;
-                c.written[off >> 6] |= 1u64 << (off & 63);
-                &mut c.slots[off]
-            }
-        }
-    }
-}
-
-/// Copy one worker's written slots into the canonical table (tid-order
-/// caller; later tids overwrite conflicting slots, like the serial
-/// path's last-writer ordering).
-fn merge_writer(table: &mut [(u64, u32)], chunks: Vec<Option<Box<WriterChunk>>>) {
-    for (ci, chunk) in chunks.into_iter().enumerate() {
-        let Some(c) = chunk else { continue };
-        let start = ci * WRITER_CHUNK;
-        for (wi, &word) in c.written.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let off = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                table[start + off] = c.slots[off];
-            }
+            WriterLink::Shard { base, stores } => stores.get(i as u32).unwrap_or(&base[i]),
         }
     }
 }
@@ -1593,8 +1575,8 @@ impl TraceLink<'_> {
 /// borrows so the engine can merge it into `&mut self` state.
 struct ShardDelta {
     mem: MemDelta,
-    llcs: Vec<Option<Llc>>,
-    writer: Vec<Option<Box<WriterChunk>>>,
+    llcs: Vec<Option<SlotOverlay<u64>>>,
+    writer: SlotOverlay<(u64, u32)>,
     trace: Vec<(u64, u32, TraceEvent)>,
 }
 
@@ -1918,7 +1900,7 @@ impl<'a> Worker<'a> {
         self.caches[self.node].prefetch(line);
         if access == Access::Write {
             let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
-            crate::mix::prefetch(&self.writer_table[slot]);
+            self.writer_table.prefetch(slot);
         }
         if self.uwalk.page != line_addr / SMALL_PAGE {
             self.memory.prefetch_page(line_addr);
@@ -1945,7 +1927,7 @@ impl<'a> Worker<'a> {
         let (wt_line, wt_tid) = self.writer_table[slot];
         let invalidated = wt_line == line && wt_tid != self.tid as u32;
         if access == Access::Write {
-            self.writer_table[slot] = (line, self.tid as u32);
+            self.writer_table.store(slot, (line, self.tid as u32));
         }
         if l1_hit && !invalidated {
             self.counters.l1_hits += 1;
@@ -2051,7 +2033,7 @@ impl<'a> Worker<'a> {
         }
 
         // LLC of the node the thread currently runs on.
-        if self.caches[self.node].access(line_addr / LINE) {
+        if self.caches.access(self.node, line_addr / LINE) {
             self.clock += self.caches[self.node].hit_cycles;
             self.counters.cache_hits += 1;
         } else {
@@ -2123,7 +2105,7 @@ impl<'a> Worker<'a> {
             if l1_hit {
                 let (wt_line, wt_tid) = self.writer_table[slot];
                 let invalidated = wt_line == line && wt_tid != self.tid as u32;
-                self.writer_table[slot] = (line, self.tid as u32);
+                self.writer_table.store(slot, (line, self.tid as u32));
                 if !invalidated {
                     self.counters.l1_hits += 1;
                     self.last_line = line;
@@ -2134,7 +2116,7 @@ impl<'a> Worker<'a> {
                 // L1-miss write: the previous entry is never consumed, so
                 // store without the dependent load — the store retires
                 // asynchronously instead of stalling on a cache miss.
-                self.writer_table[slot] = (line, self.tid as u32);
+                self.writer_table.store(slot, (line, self.tid as u32));
             }
         } else if l1_hit {
             let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
@@ -2266,7 +2248,7 @@ impl<'a> Worker<'a> {
         }
 
         // LLC of the node the thread currently runs on.
-        if self.caches[self.node].access(line) {
+        if self.caches.access(self.node, line) {
             self.clock += self.caches[self.node].hit_cycles;
             self.counters.cache_hits += 1;
         } else {
@@ -2655,11 +2637,11 @@ impl<'a> Worker<'a> {
             (
                 MemLink::Shard(view),
                 CacheLink::Shard { local, .. },
-                WriterLink::Shard { chunks, .. },
+                WriterLink::Shard { stores, .. },
             ) => Some(ShardDelta {
                 mem: view.into_delta(),
                 llcs: local,
-                writer: chunks,
+                writer: stores,
                 trace: match trace {
                     TraceLink::Buffer(b) => b,
                     _ => Vec::new(),
@@ -3329,5 +3311,114 @@ mod tests {
             SimConfig::os_default(machines::machine_b()).with_faults(plan),
             4,
         );
+    }
+
+    // ---- sharded-region merge rules (DESIGN.md §4h) ----
+
+    /// A settled simulator for merge tests: `pages` 4 KB pages mapped in
+    /// a serial region, which faults each one in by touching its first
+    /// line only — every other line is absent from every LLC.
+    fn merge_sim(placement: ThreadPlacement, pages: u64) -> (NumaSim, VAddr) {
+        let cfg = quiet_cfg(machines::machine_b()).with_threads(placement).with_shards(2);
+        let mut sim = NumaSim::new(cfg);
+        let mut base = 0;
+        sim.serial(&mut base, |w, base| {
+            *base = w.map_pages(pages * SMALL_PAGE);
+            for p in 0..pages {
+                w.touch(*base + p * SMALL_PAGE, LINE, Access::Read);
+            }
+        });
+        (sim, base)
+    }
+
+    #[test]
+    fn shard_merge_keeps_only_the_highest_tid_llc_insertions() {
+        let (mut sim, base) = merge_sim(ThreadPlacement::Dense, 8);
+        let (lo, hi) = (base + 2 * SMALL_PAGE + 3 * LINE, base + 5 * SMALL_PAGE + 3 * LINE);
+        assert!(!sim.caches[0].holds(lo / LINE) && !sim.caches[0].holds(hi / LINE));
+        sim.parallel_sharded(2, &(), |w, ()| {
+            assert_eq!(w.node(), 0, "Dense packs both tids onto node 0");
+            w.touch(if w.tid() == 0 { lo } else { hi }, LINE, Access::Read);
+        });
+        let llc = &sim.caches[0];
+        assert!(!llc.holds(lo / LINE), "tid 0's insertion must be discarded");
+        assert!(llc.holds(hi / LINE), "tid 1's insertion must survive");
+    }
+
+    #[test]
+    fn shard_merge_leaves_untouched_nodes_alone() {
+        let (mut sim, base) = merge_sim(ThreadPlacement::Sparse, 8);
+        // Give every node some tags, then shard over nodes 0 and 1 only.
+        sim.parallel(4, &mut (), |w, ()| {
+            w.touch(base + w.tid() as u64 * SMALL_PAGE, SMALL_PAGE, Access::Read);
+        });
+        let before: Vec<Vec<u64>> = sim.caches.iter().map(|c| c.tags().to_vec()).collect();
+        sim.parallel_sharded(2, &(), |w, ()| {
+            assert!(w.node() < 2);
+            w.touch(base + (6 + w.tid() as u64) * SMALL_PAGE, SMALL_PAGE, Access::Read);
+        });
+        for (node, (llc, before)) in sim.caches.iter().zip(&before).enumerate() {
+            let accessed = node < 2;
+            assert_eq!(llc.tags() != &before[..], accessed, "node {node}");
+        }
+    }
+
+    #[test]
+    fn shard_merge_counts_a_hit_only_access_as_touching_the_node() {
+        let (mut sim, base) = merge_sim(ThreadPlacement::Dense, 8);
+        // The serial set-up left `hot` in node 0's LLC (and in tid 0's
+        // L1 only), so tid 1's read of it is an LLC hit and no insert.
+        let (hot, cold) = (base, base + 4 * SMALL_PAGE + 128);
+        assert!(sim.caches[0].holds(hot / LINE));
+        let (stats, _) = sim.parallel_sharded(2, &(), |w, ()| {
+            w.touch(if w.tid() == 0 { cold } else { hot }, LINE, Access::Read);
+        });
+        assert_eq!(stats.counters.cache_hits, 1, "tid 1 hit without inserting");
+        assert!(
+            !sim.caches[0].holds(cold / LINE),
+            "the hit-only tid 1 outranks tid 0, so tid 0's insertion is dropped"
+        );
+        assert!(sim.caches[0].holds(hot / LINE));
+    }
+
+    #[test]
+    fn shard_merge_replays_writer_slots_in_tid_order() {
+        let (mut sim, base) = merge_sim(ThreadPlacement::Sparse, 8);
+        let (shared, own) = (base + SMALL_PAGE, base + 3 * SMALL_PAGE);
+        // tids 0 and 1 both store `shared`; tid 2 stores only its own
+        // line, after tid 1 in no sense but tid order.
+        sim.parallel_sharded(3, &(), |w, ()| {
+            if w.tid() < 2 {
+                w.write_u64(shared, w.tid() as u64);
+            } else {
+                w.write_u64(own, 2);
+            }
+        });
+        let entry = |addr: VAddr| {
+            let line = addr / LINE;
+            sim.writer_table[(mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1)]
+        };
+        assert_eq!(entry(shared), (shared / LINE, 1), "the highest writing tid wins");
+        assert_eq!(entry(own), (own / LINE, 2));
+    }
+
+    #[test]
+    fn shard_merge_keeps_disjoint_byte_ranges_on_one_page() {
+        let (mut sim, base) = merge_sim(ThreadPlacement::Sparse, 2);
+        // Adjacent ranges that straddle a 64-byte bitmap word.
+        sim.parallel_sharded(2, &(), |w, ()| {
+            if w.tid() == 0 {
+                w.write_u64(base + 60, 0x1111_1111_1111_1111);
+            } else {
+                w.write_u64(base + 68, 0x2222_2222_2222_2222);
+                w.write_u64(base + SMALL_PAGE - 8, 0x3333);
+            }
+        });
+        sim.serial(&mut (), |w, ()| {
+            assert_eq!(w.read_u64(base + 60), 0x1111_1111_1111_1111);
+            assert_eq!(w.read_u64(base + 68), 0x2222_2222_2222_2222);
+            assert_eq!(w.read_u64(base + SMALL_PAGE - 8), 0x3333);
+            assert_eq!(w.read_u64(base + 52), 0, "unwritten bytes stay zero");
+        });
     }
 }

@@ -23,7 +23,7 @@
 //! its simulated workers across host threads with
 //! [`NumaSim::try_parallel_sharded`] (`SimConfig::shards`, the CLI's
 //! `--shards N`): each worker runs against the frozen region-start
-//! state through private copy-on-write overlays that merge back in
+//! state through private overlays of its own stores that merge back in
 //! ascending-tid order at the region boundary, so the model's output
 //! is byte-identical at every shard count — only host wall-clock
 //! changes (DESIGN.md §4h; `examples/sharded_trial.rs` demonstrates
@@ -53,6 +53,7 @@ mod lock;
 mod mem;
 mod metrics;
 mod mix;
+mod overlay;
 mod sched;
 mod tlb;
 mod trace;

@@ -759,9 +759,42 @@ impl DataPage {
         DataPage { bytes, written: [0; PAGE_BITMAP_WORDS] }
     }
 
+    /// Mark bytes `start..end` of the page written, a bitmap word at a
+    /// time.
     #[inline]
-    fn written(&self, b: usize) -> bool {
-        self.written[b >> 6] & (1u64 << (b & 63)) != 0
+    fn mark_written(&mut self, start: usize, end: usize) {
+        let mut b = start;
+        while b < end {
+            let w = b >> 6;
+            let lo = b & 63;
+            let hi = (end - (w << 6)).min(64);
+            let ones = u64::MAX >> (64 - (hi - lo));
+            self.written[w] |= ones << lo;
+            b = (w + 1) << 6;
+        }
+    }
+
+    /// The first byte at or after `from` whose written bit equals `set`,
+    /// or the page size when there is none.
+    #[inline]
+    fn next_marked(&self, from: usize, set: bool) -> usize {
+        let page = SMALL_PAGE as usize;
+        let flip = if set { 0 } else { u64::MAX };
+        let mut w = from >> 6;
+        if w >= PAGE_BITMAP_WORDS {
+            return page;
+        }
+        let mut word = (self.written[w] ^ flip) & (u64::MAX << (from & 63));
+        loop {
+            if word != 0 {
+                return (w << 6) + word.trailing_zeros() as usize;
+            }
+            w += 1;
+            if w == PAGE_BITMAP_WORDS {
+                return page;
+            }
+            word = self.written[w] ^ flip;
+        }
     }
 }
 
@@ -1014,9 +1047,7 @@ impl<'a> ShardMemView<'a> {
             let n = (SMALL_PAGE as usize - in_page).min(data.len() - off);
             let dp = self.data_page_mut(pidx);
             dp.bytes[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
-            for b in in_page..in_page + n {
-                dp.written[b >> 6] |= 1u64 << (b & 63);
-            }
+            dp.mark_written(in_page, in_page + n);
             off += n;
         }
     }
@@ -1076,18 +1107,13 @@ impl Memory {
             self.pages[page] = e;
         }
         for (pidx, dp) in delta.data {
+            // Copy each maximal run of written bytes.
             let start = pidx as u64 * SMALL_PAGE;
-            let mut b = 0usize;
+            let mut b = dp.next_marked(0, true);
             while b < SMALL_PAGE as usize {
-                if !dp.written(b) {
-                    b += 1;
-                    continue;
-                }
-                let s = b;
-                while b < SMALL_PAGE as usize && dp.written(b) {
-                    b += 1;
-                }
-                self.write_bytes(start + s as u64, &dp.bytes[s..b]);
+                let e = dp.next_marked(b, false);
+                self.write_bytes(start + b as u64, &dp.bytes[b..e]);
+                b = dp.next_marked(e, true);
             }
         }
     }
@@ -1447,5 +1473,53 @@ mod tests {
         let t2 = m.tlb_tag(a + HUGE_PAGE - 1, true);
         assert_eq!(t1, t2, "whole huge frame shares one 2MB translation");
         assert_ne!(m.tlb_tag(a, false), m.tlb_tag(a + SMALL_PAGE, false));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The word-at-a-time written bitmap against a per-byte model:
+        /// the same bits are set, and the runs the merge finds are
+        /// exactly the maximal runs of written bytes.
+        #[test]
+        fn data_page_bitmap_matches_a_per_byte_model(
+            writes in proptest::prop::collection::vec((0usize..4096, 1usize..300), 1..12),
+        ) {
+            let page = SMALL_PAGE as usize;
+            let mut dp = DataPage {
+                bytes: vec![0; page].into_boxed_slice(),
+                written: [0; PAGE_BITMAP_WORDS],
+            };
+            let mut model = vec![false; page];
+            for &(start, len) in &writes {
+                let end = (start + len).min(page);
+                dp.mark_written(start, end);
+                model[start..end].fill(true);
+            }
+            for (b, &w) in model.iter().enumerate() {
+                proptest::prop_assert_eq!(dp.written[b >> 6] >> (b & 63) & 1 == 1, w, "byte {}", b);
+            }
+            let mut runs = Vec::new();
+            let mut b = dp.next_marked(0, true);
+            while b < page {
+                let e = dp.next_marked(b, false);
+                runs.push((b, e));
+                b = dp.next_marked(e, true);
+            }
+            let mut expect = Vec::new();
+            let mut b = 0;
+            while b < page {
+                if model[b] {
+                    let s = b;
+                    while b < page && model[b] {
+                        b += 1;
+                    }
+                    expect.push((s, b));
+                } else {
+                    b += 1;
+                }
+            }
+            proptest::prop_assert_eq!(runs, expect);
+        }
     }
 }

@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo build --release --examples --offline
 cargo test -q --offline
+# Every crate's unit tests (the root `cargo test` covers only the root
+# package and its integration tests).
+cargo test -q --workspace --lib --offline
 
 # The simulator, the experiment runner, and the trace subsystem are the
 # fallible substrate everything else leans on: no unwrap()/expect() may

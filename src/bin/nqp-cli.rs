@@ -1638,6 +1638,21 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `--sf`: a TPC-H scale factor, which must be a finite positive
+/// number. Anything else is a typed BadSpec error naming the token.
+fn parse_scale_factor(token: &str) -> SimResult<f64> {
+    let bad = |why: &str| SimError::BadSpec {
+        flag: "--sf".into(),
+        token: token.into(),
+        why: why.into(),
+    };
+    let sf: f64 = token.parse().map_err(|_| bad("not a number"))?;
+    if !(sf.is_finite() && sf > 0.0) {
+        return Err(bad("scale factor must be a finite number above 0"));
+    }
+    Ok(sf)
+}
+
 fn cmd_tpch(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
     let qnum: usize = pos
@@ -1645,7 +1660,10 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
         .and_then(|s| s.parse().ok())
         .filter(|q| (1..=22).contains(q))
         .ok_or("tpch needs a query number 1..22")?;
-    let sf: f64 = flags.get("sf").and_then(|s| s.parse().ok()).unwrap_or(0.005);
+    let sf = match flags.get("sf") {
+        Some(token) => parse_scale_factor(token).map_err(|e| e.to_string())?,
+        None => 0.005,
+    };
     let system = match flags.get("system").map(String::as_str).unwrap_or("monetdb") {
         "monetdb" => SystemKind::MonetDbLike,
         "postgresql" | "postgres" => SystemKind::PostgresLike,
