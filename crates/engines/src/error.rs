@@ -17,6 +17,22 @@ pub enum EngineError {
         /// The number that was requested.
         qnum: usize,
     },
+    /// A plan named a column its table does not have (caught when the
+    /// plan resolves its column handles, before any scan runs).
+    UnknownColumn {
+        /// The table that was asked.
+        table: &'static str,
+        /// The column name that did not resolve.
+        column: String,
+    },
+    /// A constant the plan looks up (a nation or region name) is absent
+    /// from the loaded data.
+    MissingKey {
+        /// The table searched.
+        table: &'static str,
+        /// The value that was not found.
+        key: &'static str,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -27,6 +43,12 @@ impl fmt::Display for EngineError {
             EngineError::UnknownQuery { qnum } => {
                 write!(f, "TPC-H has 22 queries; got Q{qnum}")
             }
+            EngineError::UnknownColumn { table, column } => {
+                write!(f, "unknown column {table}.{column} in plan")
+            }
+            EngineError::MissingKey { table, key } => {
+                write!(f, "plan constant `{key}` not found in table {table}")
+            }
         }
     }
 }
@@ -36,7 +58,9 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Date(e) => Some(e),
             EngineError::Sim(e) => Some(e),
-            EngineError::UnknownQuery { .. } => None,
+            EngineError::UnknownQuery { .. }
+            | EngineError::UnknownColumn { .. }
+            | EngineError::MissingKey { .. } => None,
         }
     }
 }
@@ -66,5 +90,7 @@ mod tests {
         let e: EngineError = SimError::OutOfMemory { node: 0, requested_pages: 1 }.into();
         assert!(e.to_string().contains("simulation fault"));
         assert!(EngineError::UnknownQuery { qnum: 23 }.to_string().contains("22 queries"));
+        let e = EngineError::MissingKey { table: "nation", key: "SAUDI ARABIA" };
+        assert!(e.to_string().contains("`SAUDI ARABIA`"));
     }
 }

@@ -1,10 +1,11 @@
 //! The execution toolkit: parallel scan driver and operator cost
 //! shadows (hash tables, sorts, materialisation).
 
+use crate::error::EngineError;
 use crate::profiles::EngineProfile;
-use crate::storage::TpchDb;
+use crate::storage::{Table, TpchDb};
 use nqp_query::EngineKind;
-use nqp_sim::{Access, NumaSim, VAddr, Worker};
+use nqp_sim::{Access, NumaSim, SimError, VAddr, Worker};
 use nqp_storage::{SimHeap, COLUMN_RUN_WORDS};
 
 /// Cycles to hash a join/group key.
@@ -114,25 +115,55 @@ pub fn maybe_materialize(
 /// construction, sub-plans), then every worker scans its partition of
 /// `table`, and `merge` combines the per-thread locals. The simulator
 /// executes workers in order, so worker 0's build is visible to all.
+///
+/// The plan resolves its column handles before calling this, so the
+/// per-row closure reads cells through captured [`Col`](crate::storage::Col)s.
+/// A failed build, or a simulator fault in either region, ends the
+/// phase with a typed error.
 pub fn scan_phase<B, L, FB, FR, FM, R>(
     sim: &mut NumaSim,
     heap: &mut SimHeap,
     db: &TpchDb,
     ctx: &QueryCtx,
-    table: &'static str,
+    table: Table,
     build: FB,
     per_row: FR,
     merge: FM,
-) -> R
+) -> Result<R, EngineError>
 where
     L: Default,
-    FB: FnOnce(&mut Worker<'_>, &mut SimHeap, &TpchDb) -> B,
+    FB: FnOnce(&mut Worker<'_>, &mut SimHeap, &TpchDb) -> Result<B, EngineError>,
+    FR: Fn(&mut Worker<'_>, &mut SimHeap, &TpchDb, &B, usize, &mut L),
+    FM: FnOnce(&mut Worker<'_>, &mut SimHeap, B, Vec<L>) -> R,
+{
+    sim.phase_begin(&format!("scan:{}", table.name()));
+    let out = scan_regions(sim, heap, db, ctx, table, build, per_row, merge);
+    sim.phase_end();
+    out
+}
+
+/// The two regions of [`scan_phase`]: the partitioned scan, then the
+/// merge on a single worker (the coordinator).
+#[allow(clippy::too_many_arguments)]
+fn scan_regions<B, L, FB, FR, FM, R>(
+    sim: &mut NumaSim,
+    heap: &mut SimHeap,
+    db: &TpchDb,
+    ctx: &QueryCtx,
+    table: Table,
+    build: FB,
+    per_row: FR,
+    merge: FM,
+) -> Result<R, EngineError>
+where
+    L: Default,
+    FB: FnOnce(&mut Worker<'_>, &mut SimHeap, &TpchDb) -> Result<B, EngineError>,
     FR: Fn(&mut Worker<'_>, &mut SimHeap, &TpchDb, &B, usize, &mut L),
     FM: FnOnce(&mut Worker<'_>, &mut SimHeap, B, Vec<L>) -> R,
 {
     struct Shared<'h, B, L> {
         heap: &'h mut SimHeap,
-        build: Option<B>,
+        build: Option<Result<B, EngineError>>,
         locals: Vec<L>,
     }
     let mut shared = Shared { heap, build: None, locals: Vec::new() };
@@ -140,17 +171,19 @@ where
     let overhead = ctx.profile.row_overhead_cycles;
     let startup = ctx.profile.phase_startup_cycles;
     let engine = ctx.engine;
-    sim.phase_begin(&format!("scan:{table}"));
-    let stats = sim.parallel(ctx.threads, &mut shared, |w, sh| {
+    let shadow = db.table(table);
+    let stats = sim.try_parallel(ctx.threads, &mut shared, |w, sh| {
         if w.tid() == 0 {
             // Per-phase coordination cost (process pools pay dearly here).
             w.compute(startup);
-            let f = build.take().expect("build runs exactly once");
-            sh.build = Some(f(w, sh.heap, db));
+            if let Some(f) = build.take() {
+                sh.build = Some(f(w, sh.heap, db));
+            }
         }
-        let b = sh.build.as_ref().expect("worker 0 built");
+        // A failed build leaves nothing to scan; the error surfaces
+        // after the region.
+        let Some(Ok(b)) = sh.build.as_ref() else { return };
         let mut local = L::default();
-        let shadow = db.table(table);
         let range = shadow.partition(w.tid(), ctx.threads);
         for (i, row) in range.enumerate() {
             match engine {
@@ -169,10 +202,11 @@ where
             per_row(w, sh.heap, db, b, row, &mut local);
         }
         sh.locals.push(local);
-    });
+    })?;
     if std::env::var("NQP_DEBUG_REGIONS").is_ok() {
         eprintln!(
-            "[scan {table}] elapsed={} max_thread={} bneck={:?} ctrl={:.2} waits={}",
+            "[scan {}] elapsed={} max_thread={} bneck={:?} ctrl={:.2} waits={}",
+            table.name(),
             stats.elapsed_cycles,
             stats.max_thread_cycles,
             stats.bottleneck,
@@ -180,21 +214,52 @@ where
             stats.counters.lock_wait_cycles
         );
     }
-    // Merge on a single worker (the coordinator).
+    let b = shared
+        .build
+        .ok_or_else(|| harness("scan build never ran"))??;
     let mut out: Option<R> = None;
-    let mut merge = Some(merge);
-    let mut m_shared = (shared.heap, shared.build, shared.locals, &mut out);
-    sim.serial(&mut m_shared, |w, (heap, b, locals, out)| {
-        let f = merge.take().expect("merge runs exactly once");
-        **out = Some(f(
-            w,
-            heap,
-            b.take().expect("build present"),
-            std::mem::take(locals),
-        ));
-    });
-    sim.phase_end();
-    out.expect("merge produced a result")
+    let mut merge = Some((merge, b, shared.locals));
+    sim.try_serial(shared.heap, |w, heap| {
+        if let Some((f, b, locals)) = merge.take() {
+            out = Some(f(w, heap, b, locals));
+        }
+    })?;
+    out.ok_or_else(|| harness("scan merge never ran"))
+}
+
+/// Run a final coordinator step (sorting, result materialisation).
+pub fn finish(
+    sim: &mut NumaSim,
+    heap: &mut SimHeap,
+    f: impl FnOnce(&mut Worker<'_>, &mut SimHeap),
+) -> Result<(), EngineError> {
+    let mut f = Some(f);
+    sim.try_serial(heap, |w, heap| {
+        if let Some(f) = f.take() {
+            f(w, heap);
+        }
+    })?;
+    Ok(())
+}
+
+/// Fold per-worker partial aggregates into one map, summing values
+/// that share a key (workers in tid order, entries in map order).
+pub fn sum_maps<K, V>(locals: Vec<Map<K, V>>) -> Map<K, V>
+where
+    K: std::hash::Hash + Eq,
+    V: Default + std::ops::AddAssign,
+{
+    let mut m = Map::default();
+    for l in locals {
+        for (k, v) in l {
+            *m.entry(k).or_default() += v;
+        }
+    }
+    m
+}
+
+fn harness(what: &str) -> EngineError {
+    EngineError::Sim(SimError::Harness { what: what.to_string() })
 }
 
 /// FNV-1a hasher with a fixed seed: map iteration order — and therefore
@@ -237,7 +302,7 @@ mod tests {
         let mut sim = NumaSim::new(SimConfig::tuned(machines::machine_b()));
         let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
         let data = TpchData::generate(0.001, 5);
-        let db = TpchDb::load(&mut sim, &mut heap, &data, Layout::Column, 2);
+        let db = TpchDb::load(&mut sim, &mut heap, &data, Layout::Column, 2).expect("load");
         (sim, heap, db)
     }
 
@@ -254,12 +319,13 @@ mod tests {
             &mut heap,
             &db,
             &ctx,
-            "orders",
-            |_, _, _| (),
+            Table::Orders,
+            |_, _, _| Ok(()),
             |_, _, _, _, _row, local: &mut usize| *local += 1,
             |_, _, _, locals| locals.iter().sum::<usize>(),
-        );
-        assert_eq!(total, db.table("orders").nrows());
+        )
+        .expect("scan runs");
+        assert_eq!(total, db.table(Table::Orders).nrows());
     }
 
     #[test]
@@ -275,16 +341,48 @@ mod tests {
             &mut heap,
             &db,
             &ctx,
-            "nation",
-            |_, _, _| 42u64,
+            Table::Nation,
+            |_, _, _| Ok(42u64),
             |_, _, _, b, _, local: &mut Vec<u64>| local.push(*b),
             |_, _, b, locals| {
                 assert_eq!(b, 42);
                 locals.into_iter().flatten().collect::<Vec<_>>()
             },
-        );
+        )
+        .expect("scan runs");
         assert!(seen.iter().all(|&v| v == 42));
         assert_eq!(seen.len(), 25);
+    }
+
+    #[test]
+    fn a_failed_build_ends_the_phase_with_its_error() {
+        let (mut sim, mut heap, db) = setup();
+        let ctx = QueryCtx {
+            profile: SystemKind::MonetDbLike.profile(),
+            threads: 4,
+            engine: EngineKind::Tuple,
+        };
+        let missing = EngineError::MissingKey { table: "nation", key: "ATLANTIS" };
+        let err = scan_phase(
+            &mut sim,
+            &mut heap,
+            &db,
+            &ctx,
+            Table::Nation,
+            |_, _, _| Err::<(), _>(missing.clone()),
+            |_, _, _, _, _, _: &mut ()| panic!("no row is scanned after a failed build"),
+            |_, _, _, _| (),
+        )
+        .expect_err("the build failed");
+        assert_eq!(err, missing);
+    }
+
+    #[test]
+    fn sum_maps_adds_shared_keys() {
+        let a: Map<u8, i64> = [(1, 2), (2, 3)].into_iter().collect();
+        let b: Map<u8, i64> = [(2, 4), (3, 5)].into_iter().collect();
+        let m = sum_maps(vec![a, b]);
+        assert_eq!((m[&1], m[&2], m[&3], m.len()), (2, 7, 5, 3));
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //!
 //! This layering (exact values, shadowed costs) is documented in
 //! DESIGN.md; workloads W1–W4 are fully simulator-resident instead.
+//!
+//! Plans name tables by [`Table`] and resolve every column they read to
+//! a [`Col`] handle before their scans run, so an unknown column is a
+//! typed [`EngineError`] at plan time and a cell read is one address
+//! computation. Every region runs on the simulator's fallible entry
+//! points: faults surface as [`EngineError::Sim`], never a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
 mod exec;
@@ -33,7 +40,7 @@ pub use error::EngineError;
 pub use exec::{QueryCtx, ShadowHash};
 pub use profiles::{EngineProfile, Layout, SystemKind};
 pub use queries::{query_name, run_query, try_run_query, QUERY_COUNT};
-pub use storage::TpchDb;
+pub use storage::{Col, Table, TableShadow, TpchDb};
 pub use value::{Row, Value};
 
 use nqp_query::WorkloadEnv;
@@ -64,15 +71,28 @@ impl DbSystem {
     /// Boot `system` under `env` and load the given TPC-H data into
     /// simulated storage (charged, but not part of query latencies —
     /// the paper measures warm runs).
+    ///
+    /// # Panics
+    /// Panics if the load faults; use [`DbSystem::try_boot`] to handle
+    /// simulation faults.
     pub fn boot(system: SystemKind, env: &WorkloadEnv, data: &nqp_datagen::tpch::TpchData) -> Self {
+        Self::try_boot(system, env, data).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible form of [`DbSystem::boot`].
+    pub fn try_boot(
+        system: SystemKind,
+        env: &WorkloadEnv,
+        data: &nqp_datagen::tpch::TpchData,
+    ) -> Result<Self, EngineError> {
         let profile = system.profile();
         // A database server is long-running: its scheduler placement has
         // settled by the time queries are measured.
         let mut sim = NumaSim::new(env.sim.clone().with_settled_scheduler(true));
         let mut heap = SimHeap::new(env.allocator, &mut sim);
         let threads = profile.worker_threads(env.threads);
-        let db = TpchDb::load(&mut sim, &mut heap, data, profile.layout, threads);
-        DbSystem { sim, heap, db, profile, threads, engine: env.engine }
+        let db = TpchDb::load(&mut sim, &mut heap, data, profile.layout, threads)?;
+        Ok(DbSystem { sim, heap, db, profile, threads, engine: env.engine })
     }
 
     /// Run TPC-H query `qnum` (1–22): one untimed cold run has already
@@ -181,6 +201,33 @@ mod tests {
             vec_total < tuple_total,
             "vectorized ({vec_total}) should beat tuple ({tuple_total})"
         );
+    }
+
+    /// One digest of the whole W5 model output at sf 0.002 on machine B
+    /// os-default: every query's latency, the cumulative counters after
+    /// it (boot included), and its rows, over 5 profiles × 2 engines.
+    /// Any change to the pinned value is a declared model move (record
+    /// it in EXPERIMENTS.md); host-side refactors must leave it alone.
+    #[test]
+    fn w5_model_output_is_pinned() {
+        use std::hash::Hasher;
+        let data = TpchData::generate(0.002, 1);
+        let mut h = crate::exec::DetHasher::default();
+        for system in SystemKind::ALL {
+            for engine in [nqp_query::EngineKind::Tuple, nqp_query::EngineKind::Vectorized] {
+                let env = WorkloadEnv::os_default(machines::machine_b())
+                    .with_threads(8)
+                    .with_engine(engine);
+                let mut db = DbSystem::boot(system, &env, &data);
+                for q in 1..=QUERY_COUNT {
+                    let out = db.run(q);
+                    h.write_u64(out.latency_cycles);
+                    h.write(format!("{:?}", db.counters()).as_bytes());
+                    h.write(format!("{:?}", out.rows).as_bytes());
+                }
+            }
+        }
+        assert_eq!(h.finish(), 5_139_737_261_680_276_884);
     }
 
     #[test]

@@ -11,11 +11,11 @@ mod q09_16;
 mod q17_22;
 
 use crate::error::EngineError;
-use crate::exec::QueryCtx;
+use crate::exec::{QueryCtx, Set};
 use crate::profiles::EngineProfile;
-use crate::storage::TpchDb;
+use crate::storage::{Col, Table, TpchDb};
 use crate::value::Row;
-use nqp_sim::NumaSim;
+use nqp_sim::{NumaSim, Worker};
 use nqp_storage::SimHeap;
 
 /// Number of TPC-H queries.
@@ -52,6 +52,75 @@ pub fn query_name(qnum: usize) -> &'static str {
         "Global Sales Opportunity",
     ];
     NAMES[qnum - 1]
+}
+
+/// Revenue of one lineitem in cents: `ext * (1 - discount)`.
+fn rev(ext: i64, disc: i64) -> i64 {
+    ext * (100 - disc) / 100
+}
+
+/// The key of nation `name`, looked up host-side at plan time.
+fn nation_key(db: &TpchDb, name: &'static str) -> Result<i64, EngineError> {
+    let n = &db.data.nation;
+    n.n_name
+        .iter()
+        .position(|n| n == name)
+        .map(|r| n.n_nationkey[r])
+        .ok_or(EngineError::MissingKey { table: "nation", key: name })
+}
+
+/// The keys of every supplier of nation `nk`, charging a scan of
+/// `s_nationkey`.
+fn suppliers_of(w: &mut Worker<'_>, db: &TpchDb, s_nationkey: Col, nk: i64) -> Set<i64> {
+    let sup = &db.data.supplier;
+    (0..db.table(Table::Supplier).nrows())
+        .filter(|&r| {
+            s_nationkey.charge(w, r);
+            sup.s_nationkey[r] == nk
+        })
+        .map(|r| sup.s_suppkey[r])
+        .collect()
+}
+
+/// Column handles for resolving a region name to its nations.
+#[derive(Clone, Copy)]
+struct RegionNations {
+    r_name: Col,
+    n_regionkey: Col,
+}
+
+impl RegionNations {
+    fn resolve(db: &TpchDb) -> Result<Self, EngineError> {
+        Ok(RegionNations {
+            r_name: db.table(Table::Region).col("r_name")?,
+            n_regionkey: db.table(Table::Nation).col("n_regionkey")?,
+        })
+    }
+
+    /// The nation keys of region `name`: a charged scan of `r_name`
+    /// up to the match, then a charged scan of every `n_regionkey`.
+    fn keys(
+        self,
+        w: &mut Worker<'_>,
+        db: &TpchDb,
+        name: &'static str,
+    ) -> Result<Set<i64>, EngineError> {
+        let (region, nation) = (&db.data.region, &db.data.nation);
+        let rk = (0..db.table(Table::Region).nrows())
+            .find(|&r| {
+                self.r_name.charge(w, r);
+                region.r_name[r] == name
+            })
+            .map(|r| region.r_regionkey[r])
+            .ok_or(EngineError::MissingKey { table: "region", key: name })?;
+        Ok((0..db.table(Table::Nation).nrows())
+            .filter(|&r| {
+                self.n_regionkey.charge(w, r);
+                nation.n_regionkey[r] == rk
+            })
+            .map(|r| nation.n_nationkey[r])
+            .collect())
+    }
 }
 
 /// Execute query `qnum` (1–22) and return its rows.
@@ -118,6 +187,7 @@ mod tests {
     use nqp_datagen::tpch::TpchData;
     use nqp_query::WorkloadEnv;
     use nqp_topology::machines;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     fn boot() -> (DbSystem, TpchData) {
@@ -254,6 +324,94 @@ mod tests {
         query_name(23);
         // (run_query would panic identically; name lookup panics first
         // via the array index.)
+    }
+
+    /// Every query of `system` on a fresh boot under `env`: the boot
+    /// error, or one result per query.
+    fn run_all(
+        system: SystemKind,
+        env: &WorkloadEnv,
+        data: &TpchData,
+    ) -> Result<Vec<Result<Vec<Row>, EngineError>>, EngineError> {
+        let mut db = DbSystem::try_boot(system, env, data)?;
+        Ok((1..=QUERY_COUNT).map(|q| db.try_run(q).map(|o| o.rows)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Seeded fault plans over the whole boot-plus-22-query stream of
+        /// a column and a row profile: every query returns exactly the
+        /// fault-free rows or a typed simulation error — never a panic,
+        /// never wrong rows.
+        #[test]
+        fn fault_plans_yield_fault_free_rows_or_typed_errors(
+            kind in 0u32..4,
+            from in 0u64..160,
+            len in 0u64..80,
+            param in 0u64..1000,
+        ) {
+            use nqp_sim::{FaultKind, FaultPlan};
+            let data = TpchData::generate(0.001, 21);
+            let machine = machines::machine_b();
+            let (nodes, links) =
+                (machine.topology.num_nodes(), machine.topology.links().len());
+            let fault = match kind {
+                0 => FaultKind::AllocFail {
+                    rate_ppm: (param as u32 + 1) * 1000, // 0.1 %–100 %
+                    fail_attempts: 1,
+                },
+                1 => FaultKind::LinkDegrade {
+                    link: param as usize % links,
+                    latency_x: 1.0 + (param % 7) as f64,
+                    bandwidth_div: 1.0 + (param % 5) as f64,
+                },
+                2 => FaultKind::PreemptionStorm { period_cycles: 2_000 + param * 100 },
+                _ => FaultKind::NodeOffline { node: param as usize % nodes },
+            };
+            let plan = FaultPlan::new(param).with_event(from, from + len, fault);
+            for (system, engine) in [
+                (SystemKind::MonetDbLike, nqp_query::EngineKind::Tuple),
+                (SystemKind::PostgresLike, nqp_query::EngineKind::Vectorized),
+            ] {
+                let clean = WorkloadEnv::os_default(machine.clone())
+                    .with_threads(4)
+                    .with_engine(engine);
+                let mut faulty = clean.clone();
+                faulty.sim = faulty.sim.with_faults(plan.clone());
+                let reference = run_all(system, &clean, &data).expect("fault-free boot");
+                match run_all(system, &faulty, &data) {
+                    Err(e) => prop_assert!(matches!(e, EngineError::Sim(_)), "boot: {e}"),
+                    Ok(results) => {
+                        for (q, (got, want)) in results.iter().zip(&reference).enumerate() {
+                            let want = want.as_ref().expect("fault-free query");
+                            match got {
+                                Ok(rows) => prop_assert_eq!(rows, want, "Q{} rows", q + 1),
+                                Err(e) => prop_assert!(
+                                    matches!(e, EngineError::Sim(_)),
+                                    "Q{}: {e}",
+                                    q + 1
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_faulted_boot_is_a_typed_error() {
+        let data = TpchData::generate(0.001, 21);
+        let mut env = WorkloadEnv::os_default(machines::machine_b()).with_threads(4);
+        env.sim = env.sim.with_faults(nqp_sim::FaultPlan::new(1).with_alloc_fail(0, u64::MAX, 1));
+        let err = DbSystem::try_boot(SystemKind::MonetDbLike, &env, &data)
+            .err()
+            .expect("every mapping fails");
+        assert!(
+            matches!(err, EngineError::Sim(nqp_sim::SimError::InjectedAllocFault { .. })),
+            "{err}"
+        );
     }
 
     #[test]

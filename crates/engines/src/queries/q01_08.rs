@@ -1,18 +1,16 @@
 //! TPC-H Q1–Q8.
 
-use crate::exec::{charge_sort, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES};
+use super::{nation_key, rev, RegionNations};
 use crate::error::EngineError;
-use crate::storage::TpchDb;
+use crate::exec::{
+    charge_sort, finish, maybe_materialize, scan_phase, sum_maps, Map, QueryCtx, Set, ShadowHash,
+    LIKE_CYCLES,
+};
+use crate::storage::{Table, TpchDb};
 use crate::value::{d, i, s, Row};
 use nqp_datagen::tpch::dates;
 use nqp_sim::NumaSim;
 use nqp_storage::SimHeap;
-
-
-/// Revenue of one lineitem in cents: `ext * (1 - discount)`.
-fn rev(ext: i64, disc: i64) -> i64 {
-    ext * (100 - disc) / 100
-}
 
 /// Q1: pricing summary report — full lineitem scan, group by
 /// `(returnflag, linestatus)` with six aggregates.
@@ -23,30 +21,32 @@ pub(super) fn q01(
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
     let cutoff = dates::parse("1998-12-01")? - 90;
+    let lt = db.table(Table::Lineitem);
+    let shipdate = lt.col("l_shipdate")?;
+    let agg_cols = lt.cols([
+        "l_returnflag",
+        "l_linestatus",
+        "l_quantity",
+        "l_extendedprice",
+        "l_discount",
+        "l_tax",
+    ])?;
     type Acc = Map<(u8, u8), [i64; 6]>;
     let locals: Vec<Acc> = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
-        |w, _, _| ShadowHash::new(w, 8),
+        Table::Lineitem,
+        |w, _, _| Ok(ShadowHash::new(w, 8)),
         |w, _, db, h, row, local: &mut Acc| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] > cutoff {
                 return;
             }
-            for col in [
-                "l_returnflag",
-                "l_linestatus",
-                "l_quantity",
-                "l_extendedprice",
-                "l_discount",
-                "l_tax",
-            ] {
-                t.charge(w, col, row);
+            for col in agg_cols {
+                col.charge(w, row);
             }
             let key = (
                 li.l_returnflag[row].as_bytes()[0],
@@ -68,7 +68,7 @@ pub(super) fn q01(
             a[5] += 1;
         },
         |_, _, _, locals| locals,
-    );
+    )?;
     let mut merged: Map<(u8, u8), [i64; 6]> = Map::default();
     for l in locals {
         for (k, v) in l {
@@ -80,10 +80,10 @@ pub(super) fn q01(
     }
     let mut keys: Vec<(u8, u8)> = merged.keys().copied().collect();
     keys.sort_unstable();
-    finish(sim, heap, ctx, keys.len(), |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, merged.len(), 80);
         charge_sort(w, merged.len());
-    });
+    })?;
     Ok(keys.into_iter()
         .map(|k| {
             let a = merged[&k];
@@ -103,22 +103,6 @@ pub(super) fn q01(
         .collect())
 }
 
-/// Run a final coordinator step (sorting, result materialisation).
-fn finish(
-    sim: &mut NumaSim,
-    heap: &mut SimHeap,
-    _ctx: &QueryCtx,
-    _rows: usize,
-    f: impl FnOnce(&mut nqp_sim::Worker<'_>, &mut SimHeap),
-) {
-    let mut f = Some(f);
-    sim.serial(heap, |w, heap| {
-        if let Some(f) = f.take() {
-            f(w, heap);
-        }
-    });
-}
-
 /// Q2: minimum-cost supplier in EUROPE for size-15 `%BRASS` parts.
 pub(super) fn q02(
     sim: &mut NumaSim,
@@ -132,43 +116,32 @@ pub(super) fn q02(
         shadow: ShadowHash,
     }
     type Cand = Vec<(i64, i64, i64)>; // (partkey, suppkey, cost)
+    let regions = RegionNations::resolve(db)?;
+    let s_nationkey = db.table(Table::Supplier).col("s_nationkey")?;
+    let pt = db.table(Table::Part);
+    let [p_size, p_type] = pt.cols(["p_size", "p_type"])?;
+    let [ps_partkey, ps_suppkey, ps_supplycost] =
+        db.table(Table::PartSupp).cols(["ps_partkey", "ps_suppkey", "ps_supplycost"])?;
     let (built, cands) = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "partsupp",
+        Table::PartSupp,
         |w, _, db| {
             // region EUROPE -> nation set
-            let rt = db.table("region");
-            let europe: i64 = (0..rt.nrows())
-                .find(|&r| {
-                    rt.charge(w, "r_name", r);
-                    db.data.region.r_name[r] == "EUROPE"
-                })
-                .map(|r| db.data.region.r_regionkey[r])
-                .expect("EUROPE exists");
-            let nt = db.table("nation");
-            let nations: Set<i64> = (0..nt.nrows())
+            let nations = regions.keys(w, db, "EUROPE")?;
+            let suppliers: Map<i64, usize> = (0..db.table(Table::Supplier).nrows())
                 .filter(|&r| {
-                    nt.charge(w, "n_regionkey", r);
-                    db.data.nation.n_regionkey[r] == europe
-                })
-                .map(|r| db.data.nation.n_nationkey[r])
-                .collect();
-            let st = db.table("supplier");
-            let suppliers: Map<i64, usize> = (0..st.nrows())
-                .filter(|&r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     nations.contains(&db.data.supplier.s_nationkey[r])
                 })
                 .map(|r| (db.data.supplier.s_suppkey[r], r))
                 .collect();
-            let pt = db.table("part");
             let parts: Map<i64, usize> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_size", r);
-                    pt.charge(w, "p_type", r);
+                    p_size.charge(w, r);
+                    p_type.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     db.data.part.p_size[r] == 15
                         && db.data.part.p_type[r].ends_with("BRASS")
@@ -176,28 +149,27 @@ pub(super) fn q02(
                 .map(|r| (db.data.part.p_partkey[r], r))
                 .collect();
             let shadow = ShadowHash::new(w, parts.len() + suppliers.len());
-            Built { parts, suppliers, shadow }
+            Ok(Built { parts, suppliers, shadow })
         },
         |w, _, db, b, row, local: &mut Cand| {
-            let t = db.table("partsupp");
-            t.charge(w, "ps_partkey", row);
+            ps_partkey.charge(w, row);
             let ps = &db.data.partsupp;
             let pk = ps.ps_partkey[row];
             b.shadow.probe(w, pk as u64);
             if !b.parts.contains_key(&pk) {
                 return;
             }
-            t.charge(w, "ps_suppkey", row);
+            ps_suppkey.charge(w, row);
             let sk = ps.ps_suppkey[row];
             b.shadow.probe(w, sk as u64);
             if !b.suppliers.contains_key(&sk) {
                 return;
             }
-            t.charge(w, "ps_supplycost", row);
+            ps_supplycost.charge(w, row);
             local.push((pk, sk, ps.ps_supplycost[row]));
         },
         |_, _, b, locals| (b, locals.into_iter().flatten().collect::<Vec<_>>()),
-    );
+    )?;
     // Min cost per part, then emit the suppliers achieving it.
     let mut min_cost: Map<i64, i64> = Map::default();
     for &(pk, _, cost) in &cands {
@@ -232,10 +204,10 @@ pub(super) fn q02(
     });
     rows.truncate(100);
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, cands.len(), 24);
         charge_sort(w, n.max(cands.len()));
-    });
+    })?;
     Ok(rows)
 }
 
@@ -248,6 +220,14 @@ pub(super) fn q03(
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
     let date = dates::parse("1995-03-15")?;
+    let ct = db.table(Table::Customer);
+    let c_mktsegment = ct.col("c_mktsegment")?;
+    let [o_orderdate, o_custkey, o_orderkey, o_shippriority] = db
+        .table(Table::Orders)
+        .cols(["o_orderdate", "o_custkey", "o_orderkey", "o_shippriority"])?;
+    let [l_orderkey, l_shipdate, l_extendedprice, l_discount] = db
+        .table(Table::Lineitem)
+        .cols(["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"])?;
     // Phase 1: qualifying orders (BUILDING customer, early orderdate).
     type OMap = Map<i64, (i32, i64)>; // orderkey -> (orderdate, shippriority)
     let omap: OMap = scan_phase(
@@ -255,81 +235,70 @@ pub(super) fn q03(
         heap,
         db,
         ctx,
-        "orders",
+        Table::Orders,
         |w, _, db| {
-            let ct = db.table("customer");
             let custs: Set<i64> = (0..ct.nrows())
                 .filter(|&r| {
-                    ct.charge(w, "c_mktsegment", r);
+                    c_mktsegment.charge(w, r);
                     db.data.customer.c_mktsegment[r] == "BUILDING"
                 })
                 .map(|r| db.data.customer.c_custkey[r])
                 .collect();
             let shadow = ShadowHash::new(w, custs.len());
-            (custs, shadow)
+            Ok((custs, shadow))
         },
         |w, _, db, (custs, shadow), row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] >= date {
                 return;
             }
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             shadow.probe(w, o.o_custkey[row] as u64);
             if custs.contains(&o.o_custkey[row]) {
-                t.charge(w, "o_orderkey", row);
-                t.charge(w, "o_shippriority", row);
+                o_orderkey.charge(w, row);
+                o_shippriority.charge(w, row);
                 local.insert(o.o_orderkey[row], (o.o_orderdate[row], o.o_shippriority[row]));
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: revenue per order from late-shipped lineitems.
-    type RMap = Map<i64, i64>;
-    let revenue: RMap = scan_phase(
+    let revenue: Map<i64, i64> = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, heap, _| {
             // The qualifying orders become this phase's build side.
             let shadow = ShadowHash::new(w, omap.len());
             for &k in omap.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            shadow
+            Ok(shadow)
         },
-        |w, heap, db, shadow, row, local: &mut RMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_orderkey", row);
+        |w, heap, db, shadow, row, local: &mut Map<i64, i64>| {
+            l_orderkey.charge(w, row);
             let li = &db.data.lineitem;
             let ok = li.l_orderkey[row];
             shadow.probe(w, ok as u64);
-            let Some(&(odate, _)) = omap.get(&ok) else { return };
-            t.charge(w, "l_shipdate", row);
+            if !omap.contains_key(&ok) {
+                return;
+            }
+            l_shipdate.charge(w, row);
             if li.l_shipdate[row] <= date {
                 return;
             }
-            let _ = odate;
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             if !local.contains_key(&ok) {
                 heap.alloc(w, 32); // fresh per-order aggregate state
             }
             *local.entry(ok).or_default() += rev(li.l_extendedprice[row], li.l_discount[row]);
         },
-        |_, _, _, locals| {
-            let mut m = RMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let mut rows: Vec<Row> = revenue
         .into_iter()
         .map(|(ok, r)| {
@@ -340,10 +309,10 @@ pub(super) fn q03(
     rows.sort_by(|a, b| b[1].as_i().cmp(&a[1].as_i()).then_with(|| a[2].cmp(&b[2])));
     let n = rows.len();
     rows.truncate(10);
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 32);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -357,28 +326,33 @@ pub(super) fn q04(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1993-07-01")?;
     let hi = dates::add_months(lo, 3);
+    let [l_commitdate, l_receiptdate, l_orderkey] = db
+        .table(Table::Lineitem)
+        .cols(["l_commitdate", "l_receiptdate", "l_orderkey"])?;
+    let [o_orderdate, o_orderkey, o_orderpriority] = db
+        .table(Table::Orders)
+        .cols(["o_orderdate", "o_orderkey", "o_orderpriority"])?;
     // Phase 1: orderkeys with a commit < receipt lineitem (semi-join side).
     let late: Set<i64> = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
-        |w, _, _| ShadowHash::new(w, 1024),
+        Table::Lineitem,
+        |w, _, _| Ok(ShadowHash::new(w, 1024)),
         |w, heap, db, shadow, row, local: &mut Set<i64>| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_commitdate", row);
-            t.charge(w, "l_receiptdate", row);
+            l_commitdate.charge(w, row);
+            l_receiptdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_commitdate[row] < li.l_receiptdate[row] {
-                t.charge(w, "l_orderkey", row);
+                l_orderkey.charge(w, row);
                 if local.insert(li.l_orderkey[row]) {
                     shadow.insert(w, heap, li.l_orderkey[row] as u64);
                 }
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: orders in range, existing in the semi-join set.
     type Counts = Map<String, i64>;
     let counts: Counts = scan_phase(
@@ -386,39 +360,30 @@ pub(super) fn q04(
         heap,
         db,
         ctx,
-        "orders",
-        |w, _, _| ShadowHash::new(w, late.len()),
+        Table::Orders,
+        |w, _, _| Ok(ShadowHash::new(w, late.len())),
         |w, _, db, shadow, row, local: &mut Counts| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] < lo || o.o_orderdate[row] >= hi {
                 return;
             }
-            t.charge(w, "o_orderkey", row);
+            o_orderkey.charge(w, row);
             shadow.probe(w, o.o_orderkey[row] as u64);
             if late.contains(&o.o_orderkey[row]) {
-                t.charge(w, "o_orderpriority", row);
+                o_orderpriority.charge(w, row);
                 *local.entry(o.o_orderpriority[row].clone()).or_default() += 1;
             }
         },
-        |_, _, _, locals| {
-            let mut m = Counts::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let mut rows: Vec<Row> = counts.into_iter().map(|(p, c)| vec![s(p), i(c)]).collect();
     rows.sort();
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 24);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -432,6 +397,16 @@ pub(super) fn q05(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1994-01-01")?;
     let hi = dates::add_years(lo, 1);
+    let regions = RegionNations::resolve(db)?;
+    let ct = db.table(Table::Customer);
+    let c_nationkey = ct.col("c_nationkey")?;
+    let st = db.table(Table::Supplier);
+    let s_nationkey = st.col("s_nationkey")?;
+    let [o_orderdate, o_custkey, o_orderkey] =
+        db.table(Table::Orders).cols(["o_orderdate", "o_custkey", "o_orderkey"])?;
+    let [l_orderkey, l_suppkey, l_extendedprice, l_discount] = db
+        .table(Table::Lineitem)
+        .cols(["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])?;
     // Phase 1: 1994 orders -> customer nation (ASIA only).
     type OMap = Map<i64, i64>; // orderkey -> customer nationkey
     struct B1 {
@@ -444,51 +419,34 @@ pub(super) fn q05(
         heap,
         db,
         ctx,
-        "orders",
+        Table::Orders,
         |w, _, db| {
-            let rt = db.table("region");
-            let asia_key: i64 = (0..rt.nrows())
-                .find(|&r| {
-                    rt.charge(w, "r_name", r);
-                    db.data.region.r_name[r] == "ASIA"
-                })
-                .map(|r| db.data.region.r_regionkey[r])
-                .expect("ASIA exists");
-            let nt = db.table("nation");
-            let asia: Set<i64> = (0..nt.nrows())
-                .filter(|&r| {
-                    nt.charge(w, "n_regionkey", r);
-                    db.data.nation.n_regionkey[r] == asia_key
-                })
-                .map(|r| db.data.nation.n_nationkey[r])
-                .collect();
-            let ct = db.table("customer");
+            let asia = regions.keys(w, db, "ASIA")?;
             let cust_nation: Map<i64, i64> = (0..ct.nrows())
                 .map(|r| {
-                    ct.charge(w, "c_nationkey", r);
+                    c_nationkey.charge(w, r);
                     (db.data.customer.c_custkey[r], db.data.customer.c_nationkey[r])
                 })
                 .collect();
             let shadow = ShadowHash::new(w, cust_nation.len());
-            B1 { cust_nation, asia, shadow }
+            Ok(B1 { cust_nation, asia, shadow })
         },
         |w, _, db, b, row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] < lo || o.o_orderdate[row] >= hi {
                 return;
             }
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             b.shadow.probe(w, o.o_custkey[row] as u64);
             let nk = b.cust_nation[&o.o_custkey[row]];
             if b.asia.contains(&nk) {
-                t.charge(w, "o_orderkey", row);
+                o_orderkey.charge(w, row);
                 local.insert(o.o_orderkey[row], nk);
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: lineitems whose supplier nation matches the customer's.
     type RMap = Map<i64, i64>; // nationkey -> revenue
     let by_nation: RMap = scan_phase(
@@ -496,12 +454,11 @@ pub(super) fn q05(
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, heap, db| {
-            let st = db.table("supplier");
             let supp_nation: Map<i64, i64> = (0..st.nrows())
                 .map(|r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     (db.data.supplier.s_suppkey[r], db.data.supplier.s_nationkey[r])
                 })
                 .collect();
@@ -509,43 +466,34 @@ pub(super) fn q05(
             for &k in omap.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            (supp_nation, shadow)
+            Ok((supp_nation, shadow))
         },
         |w, _, db, (supp_nation, shadow), row, local: &mut RMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             let li = &db.data.lineitem;
             shadow.probe(w, li.l_orderkey[row] as u64);
             let Some(&cnk) = omap.get(&li.l_orderkey[row]) else { return };
-            t.charge(w, "l_suppkey", row);
+            l_suppkey.charge(w, row);
             shadow.probe(w, li.l_suppkey[row] as u64);
             if supp_nation[&li.l_suppkey[row]] != cnk {
                 return;
             }
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             *local.entry(cnk).or_default() += rev(li.l_extendedprice[row], li.l_discount[row]);
         },
-        |_, _, _, locals| {
-            let mut m = RMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let mut rows: Vec<Row> = by_nation
         .into_iter()
         .map(|(nk, r)| vec![s(db.data.nation.n_name[nk as usize].clone()), i(r)])
         .collect();
     rows.sort_by(|a, b| b[1].as_i().cmp(&a[1].as_i()));
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 24);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -558,34 +506,36 @@ pub(super) fn q06(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1994-01-01")?;
     let hi = dates::add_years(lo, 1);
+    let [l_shipdate, l_discount, l_quantity, l_extendedprice] = db
+        .table(Table::Lineitem)
+        .cols(["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])?;
     let total: i64 = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
-        |_, _, _| (),
+        Table::Lineitem,
+        |_, _, _| Ok(()),
         |w, _, db, _, row, local: &mut i64| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] >= hi {
                 return;
             }
-            t.charge(w, "l_discount", row);
-            t.charge(w, "l_quantity", row);
+            l_discount.charge(w, row);
+            l_quantity.charge(w, row);
             let disc = li.l_discount[row];
             if !(5..=7).contains(&disc) || li.l_quantity[row] >= 24 {
                 return;
             }
-            t.charge(w, "l_extendedprice", row);
+            l_extendedprice.charge(w, row);
             *local += li.l_extendedprice[row] * disc; // 1e-4 dollars
         },
         |_, _, _, locals| locals.into_iter().sum(),
-    );
-    finish(sim, heap, ctx, 1, |w, heap| {
+    )?;
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, 1, 8);
-    });
+    })?;
     Ok(vec![vec![i(total)]])
 }
 
@@ -598,16 +548,20 @@ pub(super) fn q07(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1995-01-01")?;
     let hi = dates::parse("1996-12-31")?;
-    let nation_key = |name: &str| -> i64 {
-        db.data
-            .nation
-            .n_name
-            .iter()
-            .position(|n| n == name)
-            .map(|r| db.data.nation.n_nationkey[r])
-            .expect("nation exists")
-    };
-    let (fr, de) = (nation_key("FRANCE"), nation_key("GERMANY"));
+    let (fr, de) = (nation_key(db, "FRANCE")?, nation_key(db, "GERMANY")?);
+    let ct = db.table(Table::Customer);
+    let c_nationkey = ct.col("c_nationkey")?;
+    let st = db.table(Table::Supplier);
+    let s_nationkey = st.col("s_nationkey")?;
+    let [o_custkey, o_orderkey] = db.table(Table::Orders).cols(["o_custkey", "o_orderkey"])?;
+    let [l_shipdate, l_orderkey, l_suppkey, l_extendedprice, l_discount] =
+        db.table(Table::Lineitem).cols([
+            "l_shipdate",
+            "l_orderkey",
+            "l_suppkey",
+            "l_extendedprice",
+            "l_discount",
+        ])?;
     // Phase 1: every order's customer nation (only FR/DE kept).
     type OMap = Map<i64, i64>;
     let omap: OMap = scan_phase(
@@ -615,30 +569,28 @@ pub(super) fn q07(
         heap,
         db,
         ctx,
-        "orders",
+        Table::Orders,
         |w, _, db| {
-            let ct = db.table("customer");
             let cust_nation: Map<i64, i64> = (0..ct.nrows())
                 .map(|r| {
-                    ct.charge(w, "c_nationkey", r);
+                    c_nationkey.charge(w, r);
                     (db.data.customer.c_custkey[r], db.data.customer.c_nationkey[r])
                 })
                 .collect();
-            (cust_nation, ShadowHash::new(w, ct.nrows()))
+            Ok((cust_nation, ShadowHash::new(w, ct.nrows())))
         },
         |w, _, db, (cust_nation, shadow), row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             let o = &db.data.orders;
             shadow.probe(w, o.o_custkey[row] as u64);
             let nk = cust_nation[&o.o_custkey[row]];
             if nk == fr || nk == de {
-                t.charge(w, "o_orderkey", row);
+                o_orderkey.charge(w, row);
                 local.insert(o.o_orderkey[row], nk);
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: cross-nation lineitems shipped 1995-1996.
     type VMap = Map<(i64, i64, i32), i64>; // (supp_nation, cust_nation, year) -> volume
     let volumes: VMap = scan_phase(
@@ -646,12 +598,11 @@ pub(super) fn q07(
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, heap, db| {
-            let st = db.table("supplier");
             let supp_nation: Map<i64, i64> = (0..st.nrows())
                 .map(|r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     (db.data.supplier.s_suppkey[r], db.data.supplier.s_nationkey[r])
                 })
                 .collect();
@@ -659,40 +610,31 @@ pub(super) fn q07(
             for &k in omap.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            (supp_nation, shadow)
+            Ok((supp_nation, shadow))
         },
         |w, _, db, (supp_nation, shadow), row, local: &mut VMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] > hi {
                 return;
             }
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             shadow.probe(w, li.l_orderkey[row] as u64);
             let Some(&cnk) = omap.get(&li.l_orderkey[row]) else { return };
-            t.charge(w, "l_suppkey", row);
+            l_suppkey.charge(w, row);
             let snk = supp_nation[&li.l_suppkey[row]];
             let pair_ok = (snk == fr && cnk == de) || (snk == de && cnk == fr);
             if !pair_ok {
                 return;
             }
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             let year = dates::year(li.l_shipdate[row]);
             *local.entry((snk, cnk, year)).or_default() +=
                 rev(li.l_extendedprice[row], li.l_discount[row]);
         },
-        |_, _, _, locals| {
-            let mut m = VMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let mut rows: Vec<Row> = volumes
         .into_iter()
         .map(|((snk, cnk, year), vol)| {
@@ -706,10 +648,10 @@ pub(super) fn q07(
         .collect();
     rows.sort();
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 40);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -723,14 +665,24 @@ pub(super) fn q08(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1995-01-01")?;
     let hi = dates::parse("1996-12-31")?;
-    let brazil: i64 = db
-        .data
-        .nation
-        .n_name
-        .iter()
-        .position(|n| n == "BRAZIL")
-        .map(|r| db.data.nation.n_nationkey[r])
-        .expect("BRAZIL exists");
+    let brazil = nation_key(db, "BRAZIL")?;
+    let regions = RegionNations::resolve(db)?;
+    let ct = db.table(Table::Customer);
+    let c_nationkey = ct.col("c_nationkey")?;
+    let pt = db.table(Table::Part);
+    let p_type = pt.col("p_type")?;
+    let st = db.table(Table::Supplier);
+    let s_nationkey = st.col("s_nationkey")?;
+    let [o_orderdate, o_custkey, o_orderkey] =
+        db.table(Table::Orders).cols(["o_orderdate", "o_custkey", "o_orderkey"])?;
+    let [l_partkey, l_orderkey, l_suppkey, l_extendedprice, l_discount] =
+        db.table(Table::Lineitem).cols([
+            "l_partkey",
+            "l_orderkey",
+            "l_suppkey",
+            "l_extendedprice",
+            "l_discount",
+        ])?;
     // Phase 1: 1995-96 orders of AMERICA customers -> (orderkey -> year).
     type OMap = Map<i64, i32>;
     let omap: OMap = scan_phase(
@@ -738,50 +690,33 @@ pub(super) fn q08(
         heap,
         db,
         ctx,
-        "orders",
+        Table::Orders,
         |w, _, db| {
-            let rt = db.table("region");
-            let america: i64 = (0..rt.nrows())
-                .find(|&r| {
-                    rt.charge(w, "r_name", r);
-                    db.data.region.r_name[r] == "AMERICA"
-                })
-                .map(|r| db.data.region.r_regionkey[r])
-                .expect("AMERICA exists");
-            let nt = db.table("nation");
-            let nations: Set<i64> = (0..nt.nrows())
-                .filter(|&r| {
-                    nt.charge(w, "n_regionkey", r);
-                    db.data.nation.n_regionkey[r] == america
-                })
-                .map(|r| db.data.nation.n_nationkey[r])
-                .collect();
-            let ct = db.table("customer");
+            let nations = regions.keys(w, db, "AMERICA")?;
             let custs: Set<i64> = (0..ct.nrows())
                 .filter(|&r| {
-                    ct.charge(w, "c_nationkey", r);
+                    c_nationkey.charge(w, r);
                     nations.contains(&db.data.customer.c_nationkey[r])
                 })
                 .map(|r| db.data.customer.c_custkey[r])
                 .collect();
-            (custs, ShadowHash::new(w, ct.nrows()))
+            Ok((custs, ShadowHash::new(w, ct.nrows())))
         },
         |w, _, db, (custs, shadow), row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] < lo || o.o_orderdate[row] > hi {
                 return;
             }
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             shadow.probe(w, o.o_custkey[row] as u64);
             if custs.contains(&o.o_custkey[row]) {
-                t.charge(w, "o_orderkey", row);
+                o_orderkey.charge(w, row);
                 local.insert(o.o_orderkey[row], dates::year(o.o_orderdate[row]));
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: target-part lineitems, split by supplier nation.
     type VMap = Map<i32, (i64, i64)>; // year -> (brazil volume, total volume)
     let volumes: VMap = scan_phase(
@@ -789,20 +724,18 @@ pub(super) fn q08(
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, heap, db| {
-            let pt = db.table("part");
             let parts: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_type", r);
+                    p_type.charge(w, r);
                     db.data.part.p_type[r] == "ECONOMY ANODIZED STEEL"
                 })
                 .map(|r| db.data.part.p_partkey[r])
                 .collect();
-            let st = db.table("supplier");
             let supp_nation: Map<i64, i64> = (0..st.nrows())
                 .map(|r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     (db.data.supplier.s_suppkey[r], db.data.supplier.s_nationkey[r])
                 })
                 .collect();
@@ -810,22 +743,21 @@ pub(super) fn q08(
             for &k in omap.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            (parts, supp_nation, shadow)
+            Ok((parts, supp_nation, shadow))
         },
         |w, _, db, (parts, supp_nation, shadow), row, local: &mut VMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_partkey", row);
+            l_partkey.charge(w, row);
             let li = &db.data.lineitem;
             shadow.probe(w, li.l_partkey[row] as u64);
             if !parts.contains(&li.l_partkey[row]) {
                 return;
             }
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             shadow.probe(w, li.l_orderkey[row] as u64);
             let Some(&year) = omap.get(&li.l_orderkey[row]) else { return };
-            t.charge(w, "l_suppkey", row);
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_suppkey.charge(w, row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             let vol = rev(li.l_extendedprice[row], li.l_discount[row]);
             let e = local.entry(year).or_default();
             if supp_nation[&li.l_suppkey[row]] == brazil {
@@ -844,7 +776,7 @@ pub(super) fn q08(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = volumes
         .into_iter()
         .map(|(year, (bz, total))| {
@@ -854,9 +786,9 @@ pub(super) fn q08(
         .collect();
     rows.sort();
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 16);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }

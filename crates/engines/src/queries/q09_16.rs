@@ -1,30 +1,16 @@
 //! TPC-H Q9–Q16.
 
-use crate::exec::{charge_sort, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES};
+use super::{nation_key, rev, suppliers_of};
 use crate::error::EngineError;
-use crate::storage::TpchDb;
+use crate::exec::{
+    charge_sort, finish, maybe_materialize, scan_phase, sum_maps, Map, QueryCtx, Set, ShadowHash,
+    LIKE_CYCLES,
+};
+use crate::storage::{Table, TpchDb};
 use crate::value::{i, s, Row};
 use nqp_datagen::tpch::dates;
 use nqp_sim::NumaSim;
 use nqp_storage::SimHeap;
-
-
-fn rev(ext: i64, disc: i64) -> i64 {
-    ext * (100 - disc) / 100
-}
-
-fn finish(
-    sim: &mut NumaSim,
-    heap: &mut SimHeap,
-    f: impl FnOnce(&mut nqp_sim::Worker<'_>, &mut SimHeap),
-) {
-    let mut f = Some(f);
-    sim.serial(heap, |w, heap| {
-        if let Some(f) = f.take() {
-            f(w, heap);
-        }
-    });
-}
 
 /// Q9: product-type profit — profit on `%green%` parts by nation and
 /// order year.
@@ -34,6 +20,18 @@ pub(super) fn q09(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let pt = db.table(Table::Part);
+    let p_name = pt.col("p_name")?;
+    let st = db.table(Table::Supplier);
+    let s_nationkey = st.col("s_nationkey")?;
+    let pst = db.table(Table::PartSupp);
+    let [ps_partkey, ps_suppkey, ps_supplycost] =
+        pst.cols(["ps_partkey", "ps_suppkey", "ps_supplycost"])?;
+    let [o_orderkey, o_orderdate] = db.table(Table::Orders).cols(["o_orderkey", "o_orderdate"])?;
+    let lt = db.table(Table::Lineitem);
+    let l_partkey = lt.col("l_partkey")?;
+    let profit_cols =
+        lt.cols(["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount", "l_quantity"])?;
     // Phase 1: every order's year.
     type OMap = Map<i64, i32>;
     let omap: OMap = scan_phase(
@@ -41,17 +39,16 @@ pub(super) fn q09(
         heap,
         db,
         ctx,
-        "orders",
-        |_, _, _| (),
+        Table::Orders,
+        |_, _, _| Ok(()),
         |w, _, db, _, row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderkey", row);
-            t.charge(w, "o_orderdate", row);
+            o_orderkey.charge(w, row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             local.insert(o.o_orderkey[row], dates::year(o.o_orderdate[row]));
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: green-part lineitems -> profit by (nation, year).
     type PMap = Map<(i64, i32), i64>;
     let profits: PMap = scan_phase(
@@ -59,32 +56,29 @@ pub(super) fn q09(
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, heap, db| {
-            let pt = db.table("part");
             let parts: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_name", r);
+                    p_name.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     db.data.part.p_name[r].contains("green")
                 })
                 .map(|r| db.data.part.p_partkey[r])
                 .collect();
-            let st = db.table("supplier");
             let supp_nation: Map<i64, i64> = (0..st.nrows())
                 .map(|r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     (db.data.supplier.s_suppkey[r], db.data.supplier.s_nationkey[r])
                 })
                 .collect();
-            let pst = db.table("partsupp");
             let mut cost: Map<(i64, i64), i64> = Map::default();
             for r in 0..pst.nrows() {
-                pst.charge(w, "ps_partkey", r);
+                ps_partkey.charge(w, r);
                 let ps = &db.data.partsupp;
                 if parts.contains(&ps.ps_partkey[r]) {
-                    pst.charge(w, "ps_suppkey", r);
-                    pst.charge(w, "ps_supplycost", r);
+                    ps_suppkey.charge(w, r);
+                    ps_supplycost.charge(w, r);
                     cost.insert((ps.ps_partkey[r], ps.ps_suppkey[r]), ps.ps_supplycost[r]);
                 }
             }
@@ -92,20 +86,18 @@ pub(super) fn q09(
             for &k in omap.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            (parts, supp_nation, cost, shadow)
+            Ok((parts, supp_nation, cost, shadow))
         },
         |w, _, db, (parts, supp_nation, cost, shadow), row, local: &mut PMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_partkey", row);
+            l_partkey.charge(w, row);
             let li = &db.data.lineitem;
             let pk = li.l_partkey[row];
             shadow.probe(w, pk as u64);
             if !parts.contains(&pk) {
                 return;
             }
-            for col in ["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount", "l_quantity"]
-            {
-                t.charge(w, col, row);
+            for col in profit_cols {
+                col.charge(w, row);
             }
             let sk = li.l_suppkey[row];
             shadow.probe(w, li.l_orderkey[row] as u64);
@@ -114,16 +106,8 @@ pub(super) fn q09(
                 - cost[&(pk, sk)] * li.l_quantity[row];
             *local.entry((supp_nation[&sk], year)).or_default() += amount;
         },
-        |_, _, _, locals| {
-            let mut m = PMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let mut rows: Vec<Row> = profits
         .into_iter()
         .map(|((nk, year), p)| {
@@ -139,7 +123,7 @@ pub(super) fn q09(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 32);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -153,6 +137,14 @@ pub(super) fn q10(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1993-10-01")?;
     let hi = dates::add_months(lo, 3);
+    let [o_orderdate, o_orderkey, o_custkey] =
+        db.table(Table::Orders).cols(["o_orderdate", "o_orderkey", "o_custkey"])?;
+    let [l_returnflag, l_orderkey, l_extendedprice, l_discount] = db
+        .table(Table::Lineitem)
+        .cols(["l_returnflag", "l_orderkey", "l_extendedprice", "l_discount"])?;
+    let out_cols = db
+        .table(Table::Customer)
+        .cols(["c_name", "c_acctbal", "c_nationkey", "c_address", "c_phone"])?;
     // Phase 1: Q4-93 orders -> custkey.
     type OMap = Map<i64, i64>;
     let omap: OMap = scan_phase(
@@ -160,20 +152,19 @@ pub(super) fn q10(
         heap,
         db,
         ctx,
-        "orders",
-        |_, _, _| (),
+        Table::Orders,
+        |_, _, _| Ok(()),
         |w, _, db, _, row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] >= lo && o.o_orderdate[row] < hi {
-                t.charge(w, "o_orderkey", row);
-                t.charge(w, "o_custkey", row);
+                o_orderkey.charge(w, row);
+                o_custkey.charge(w, row);
                 local.insert(o.o_orderkey[row], o.o_custkey[row]);
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: returned lineitems of those orders -> revenue by customer.
     type RMap = Map<i64, i64>;
     let by_cust: RMap = scan_phase(
@@ -181,41 +172,32 @@ pub(super) fn q10(
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, heap, _| {
             let shadow = ShadowHash::new(w, omap.len());
             for &k in omap.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            shadow
+            Ok(shadow)
         },
         |w, heap, db, shadow, row, local: &mut RMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_returnflag", row);
+            l_returnflag.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_returnflag[row] != "R" {
                 return;
             }
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             shadow.probe(w, li.l_orderkey[row] as u64);
             let Some(&ck) = omap.get(&li.l_orderkey[row]) else { return };
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             if !local.contains_key(&ck) {
                 heap.alloc(w, 32); // fresh per-customer aggregate state
             }
             *local.entry(ck).or_default() += rev(li.l_extendedprice[row], li.l_discount[row]);
         },
-        |_, _, _, locals| {
-            let mut m = RMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let mut entries: Vec<(i64, i64)> = by_cust.into_iter().collect();
     entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     entries.truncate(20);
@@ -246,15 +228,14 @@ pub(super) fn q10(
     }
     let n = rows.len();
     finish(sim, heap, |w, heap| {
-        let ct = db.table("customer");
         for &r in &entries_out {
-            for col in ["c_name", "c_acctbal", "c_nationkey", "c_address", "c_phone"] {
-                ct.charge(w, col, r);
+            for col in out_cols {
+                col.charge(w, r);
             }
         }
         maybe_materialize(w, heap, &ctx.profile, n, 96);
         charge_sort(w, n.max(20));
-    });
+    })?;
     Ok(rows)
 }
 
@@ -266,56 +247,40 @@ pub(super) fn q11(
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
     type VMap = Map<i64, i64>; // partkey -> value (cents)
+    let nk = nation_key(db, "GERMANY")?;
+    let s_nationkey = db.table(Table::Supplier).col("s_nationkey")?;
+    let [ps_suppkey, ps_partkey, ps_supplycost, ps_availqty] = db
+        .table(Table::PartSupp)
+        .cols(["ps_suppkey", "ps_partkey", "ps_supplycost", "ps_availqty"])?;
     let (values, total) = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "partsupp",
+        Table::PartSupp,
         |w, _, db| {
-            let nk: i64 = db
-                .data
-                .nation
-                .n_name
-                .iter()
-                .position(|n| n == "GERMANY")
-                .map(|r| db.data.nation.n_nationkey[r])
-                .expect("GERMANY exists");
-            let st = db.table("supplier");
-            let german: Set<i64> = (0..st.nrows())
-                .filter(|&r| {
-                    st.charge(w, "s_nationkey", r);
-                    db.data.supplier.s_nationkey[r] == nk
-                })
-                .map(|r| db.data.supplier.s_suppkey[r])
-                .collect();
-            (german, ShadowHash::new(w, 1024))
+            let german = suppliers_of(w, db, s_nationkey, nk);
+            Ok((german, ShadowHash::new(w, 1024)))
         },
         |w, _, db, (german, shadow), row, local: &mut VMap| {
-            let t = db.table("partsupp");
-            t.charge(w, "ps_suppkey", row);
+            ps_suppkey.charge(w, row);
             let ps = &db.data.partsupp;
             shadow.probe(w, ps.ps_suppkey[row] as u64);
             if !german.contains(&ps.ps_suppkey[row]) {
                 return;
             }
-            t.charge(w, "ps_partkey", row);
-            t.charge(w, "ps_supplycost", row);
-            t.charge(w, "ps_availqty", row);
+            ps_partkey.charge(w, row);
+            ps_supplycost.charge(w, row);
+            ps_availqty.charge(w, row);
             *local.entry(ps.ps_partkey[row]).or_default() +=
                 ps.ps_supplycost[row] * ps.ps_availqty[row];
         },
         |_, _, _, locals| {
-            let mut m = VMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
+            let m = sum_maps(locals);
             let total: i64 = m.values().sum();
             (m, total)
         },
-    );
+    )?;
     let mut rows: Vec<Row> = values
         .into_iter()
         .filter(|&(_, v)| v as i128 * 10_000 > total as i128)
@@ -326,7 +291,7 @@ pub(super) fn q11(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 16);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -340,6 +305,11 @@ pub(super) fn q12(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1994-01-01")?;
     let hi = dates::add_years(lo, 1);
+    let [o_orderkey, o_orderpriority] =
+        db.table(Table::Orders).cols(["o_orderkey", "o_orderpriority"])?;
+    let lt = db.table(Table::Lineitem);
+    let l_shipmode = lt.col("l_shipmode")?;
+    let date_cols = lt.cols(["l_receiptdate", "l_commitdate", "l_shipdate", "l_orderkey"])?;
     // Phase 1: order priority classes.
     type OMap = Map<i64, bool>; // orderkey -> high priority?
     let omap: OMap = scan_phase(
@@ -347,19 +317,18 @@ pub(super) fn q12(
         heap,
         db,
         ctx,
-        "orders",
-        |_, _, _| (),
+        Table::Orders,
+        |_, _, _| Ok(()),
         |w, _, db, _, row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderkey", row);
-            t.charge(w, "o_orderpriority", row);
+            o_orderkey.charge(w, row);
+            o_orderpriority.charge(w, row);
             let o = &db.data.orders;
             let high = o.o_orderpriority[row].starts_with("1-")
                 || o.o_orderpriority[row].starts_with("2-");
             local.insert(o.o_orderkey[row], high);
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: qualifying lineitems.
     type CMap = Map<String, (i64, i64)>; // shipmode -> (high, low)
     let counts: CMap = scan_phase(
@@ -367,24 +336,23 @@ pub(super) fn q12(
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, heap, _| {
             let shadow = ShadowHash::new(w, omap.len());
             for &k in omap.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            shadow
+            Ok(shadow)
         },
         |w, _, db, shadow, row, local: &mut CMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipmode", row);
+            l_shipmode.charge(w, row);
             let li = &db.data.lineitem;
             let mode = &li.l_shipmode[row];
             if mode != "MAIL" && mode != "SHIP" {
                 return;
             }
-            for col in ["l_receiptdate", "l_commitdate", "l_shipdate", "l_orderkey"] {
-                t.charge(w, col, row);
+            for col in date_cols {
+                col.charge(w, row);
             }
             let ok = li.l_receiptdate[row] >= lo
                 && li.l_receiptdate[row] < hi
@@ -413,7 +381,7 @@ pub(super) fn q12(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = counts
         .into_iter()
         .map(|(mode, (h, l))| vec![s(mode), i(h), i(l)])
@@ -423,7 +391,7 @@ pub(super) fn q12(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 32);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -435,6 +403,8 @@ pub(super) fn q13(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let [o_comment, o_custkey] = db.table(Table::Orders).cols(["o_comment", "o_custkey"])?;
+    let c_custkey = db.table(Table::Customer).col("c_custkey")?;
     // Phase 1: orders per customer (filtered).
     type CMap = Map<i64, i64>;
     let per_cust: CMap = scan_phase(
@@ -442,11 +412,10 @@ pub(super) fn q13(
         heap,
         db,
         ctx,
-        "orders",
-        |_, _, _| (),
+        Table::Orders,
+        |_, _, _| Ok(()),
         |w, heap, db, _, row, local: &mut CMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_comment", row);
+            o_comment.charge(w, row);
             w.compute(LIKE_CYCLES);
             let o = &db.data.orders;
             let c = &o.o_comment[row];
@@ -455,22 +424,14 @@ pub(super) fn q13(
                     return;
                 }
             }
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             if !local.contains_key(&o.o_custkey[row]) {
                 heap.alloc(w, 32); // fresh per-customer counter
             }
             *local.entry(o.o_custkey[row]).or_default() += 1;
         },
-        |_, _, _, locals| {
-            let mut m = CMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     // Phase 2: left join customers against the counts, then histogram.
     type HMap = Map<i64, i64>; // c_count -> customer count
     let hist: HMap = scan_phase(
@@ -478,39 +439,30 @@ pub(super) fn q13(
         heap,
         db,
         ctx,
-        "customer",
+        Table::Customer,
         |w, heap, _| {
             let shadow = ShadowHash::new(w, per_cust.len());
             for &k in per_cust.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            shadow
+            Ok(shadow)
         },
         |w, _, db, shadow, row, local: &mut HMap| {
-            let t = db.table("customer");
-            t.charge(w, "c_custkey", row);
+            c_custkey.charge(w, row);
             let ck = db.data.customer.c_custkey[row];
             shadow.probe(w, ck as u64);
             let count = per_cust.get(&ck).copied().unwrap_or(0);
             *local.entry(count).or_default() += 1;
         },
-        |_, _, _, locals| {
-            let mut m = HMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let mut rows: Vec<Row> = hist.into_iter().map(|(c, n)| vec![i(c), i(n)]).collect();
     rows.sort_by(|a, b| b[1].as_i().cmp(&a[1].as_i()).then_with(|| b[0].as_i().cmp(&a[0].as_i())));
     let n = rows.len();
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 16);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -523,34 +475,37 @@ pub(super) fn q14(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1995-09-01")?;
     let hi = dates::add_months(lo, 1);
+    let pt = db.table(Table::Part);
+    let p_type = pt.col("p_type")?;
+    let [l_shipdate, l_partkey, l_extendedprice, l_discount] = db
+        .table(Table::Lineitem)
+        .cols(["l_shipdate", "l_partkey", "l_extendedprice", "l_discount"])?;
     let (promo, total) = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, _, db| {
-            let pt = db.table("part");
             let promo_parts: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_type", r);
+                    p_type.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     db.data.part.p_type[r].starts_with("PROMO")
                 })
                 .map(|r| db.data.part.p_partkey[r])
                 .collect();
-            (promo_parts, ShadowHash::new(w, 4096))
+            Ok((promo_parts, ShadowHash::new(w, 4096)))
         },
         |w, _, db, (promo_parts, shadow), row, local: &mut (i64, i64)| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] >= hi {
                 return;
             }
-            t.charge(w, "l_partkey", row);
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_partkey.charge(w, row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             shadow.probe(w, li.l_partkey[row] as u64);
             let r = rev(li.l_extendedprice[row], li.l_discount[row]);
             if promo_parts.contains(&li.l_partkey[row]) {
@@ -563,10 +518,10 @@ pub(super) fn q14(
                 .into_iter()
                 .fold((0, 0), |acc, l| (acc.0 + l.0, acc.1 + l.1))
         },
-    );
+    )?;
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, 1, 8);
-    });
+    })?;
     let share = if total == 0 { 0 } else { (promo as i128 * 10_000 / total as i128) as i64 };
     Ok(vec![vec![i(share)]])
 }
@@ -580,24 +535,27 @@ pub(super) fn q15(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1996-01-01")?;
     let hi = dates::add_months(lo, 3);
+    let [l_shipdate, l_suppkey, l_extendedprice, l_discount] = db
+        .table(Table::Lineitem)
+        .cols(["l_shipdate", "l_suppkey", "l_extendedprice", "l_discount"])?;
+    let out_cols = db.table(Table::Supplier).cols(["s_name", "s_address", "s_phone"])?;
     type RMap = Map<i64, i64>;
     let by_supp: RMap = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
-        |w, _, _| ShadowHash::new(w, 1024),
+        Table::Lineitem,
+        |w, _, _| Ok(ShadowHash::new(w, 1024)),
         |w, heap, db, shadow, row, local: &mut RMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] >= hi {
                 return;
             }
-            t.charge(w, "l_suppkey", row);
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_suppkey.charge(w, row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             let key = li.l_suppkey[row];
             if local.contains_key(&key) {
                 shadow.update(w, key as u64);
@@ -607,16 +565,8 @@ pub(super) fn q15(
             *local.entry(key).or_default() +=
                 rev(li.l_extendedprice[row], li.l_discount[row]);
         },
-        |_, _, _, locals| {
-            let mut m = RMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let max_rev = by_supp.values().copied().max().unwrap_or(0);
     let mut rows: Vec<Row> = Vec::new();
     let skey_to_row: Map<i64, usize> = db
@@ -628,7 +578,7 @@ pub(super) fn q15(
         .map(|(r, &k)| (k, r))
         .collect();
     let mut out_rows = Vec::new();
-    for (&sk, &r) in by_supp.iter().filter(|&(_, &r)| r == max_rev).map(|(k, v)| (k, v)).collect::<Vec<_>>() {
+    for (&sk, &r) in by_supp.iter().filter(|&(_, &r)| r == max_rev).collect::<Vec<_>>() {
         let sr = skey_to_row[&sk];
         let sup = &db.data.supplier;
         out_rows.push(sr);
@@ -642,15 +592,14 @@ pub(super) fn q15(
     }
     rows.sort();
     finish(sim, heap, |w, heap| {
-        let st = db.table("supplier");
         for &sr in &out_rows {
-            for col in ["s_name", "s_address", "s_phone"] {
-                st.charge(w, col, sr);
+            for col in out_cols {
+                col.charge(w, sr);
             }
         }
         maybe_materialize(w, heap, &ctx.profile, by_supp.len(), 16);
         charge_sort(w, by_supp.len());
-    });
+    })?;
     Ok(rows)
 }
 
@@ -664,19 +613,23 @@ pub(super) fn q16(
 ) -> Result<Vec<Row>, EngineError> {
     const SIZES: [i64; 8] = [49, 14, 23, 45, 19, 3, 36, 9];
     type GMap = Map<(String, String, i64), Set<i64>>;
+    let pt = db.table(Table::Part);
+    let [p_brand, p_type, p_size] = pt.cols(["p_brand", "p_type", "p_size"])?;
+    let st = db.table(Table::Supplier);
+    let s_comment = st.col("s_comment")?;
+    let [ps_partkey, ps_suppkey] = db.table(Table::PartSupp).cols(["ps_partkey", "ps_suppkey"])?;
     let groups: GMap = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "partsupp",
+        Table::PartSupp,
         |w, _, db| {
-            let pt = db.table("part");
             let parts: Map<i64, usize> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_brand", r);
-                    pt.charge(w, "p_type", r);
-                    pt.charge(w, "p_size", r);
+                    p_brand.charge(w, r);
+                    p_type.charge(w, r);
+                    p_size.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     let p = &db.data.part;
                     p.p_brand[r] != "Brand#45"
@@ -685,10 +638,9 @@ pub(super) fn q16(
                 })
                 .map(|r| (db.data.part.p_partkey[r], r))
                 .collect();
-            let st = db.table("supplier");
             let complainers: Set<i64> = (0..st.nrows())
                 .filter(|&r| {
-                    st.charge(w, "s_comment", r);
+                    s_comment.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     let c = &db.data.supplier.s_comment[r];
                     c.find("Customer")
@@ -696,15 +648,14 @@ pub(super) fn q16(
                 })
                 .map(|r| db.data.supplier.s_suppkey[r])
                 .collect();
-            (parts, complainers, ShadowHash::new(w, 4096))
+            Ok((parts, complainers, ShadowHash::new(w, 4096)))
         },
         |w, _, db, (parts, complainers, shadow), row, local: &mut GMap| {
-            let t = db.table("partsupp");
-            t.charge(w, "ps_partkey", row);
+            ps_partkey.charge(w, row);
             let ps = &db.data.partsupp;
             shadow.probe(w, ps.ps_partkey[row] as u64);
             let Some(&pr) = parts.get(&ps.ps_partkey[row]) else { return };
-            t.charge(w, "ps_suppkey", row);
+            ps_suppkey.charge(w, row);
             if complainers.contains(&ps.ps_suppkey[row]) {
                 return;
             }
@@ -723,7 +674,7 @@ pub(super) fn q16(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = groups
         .into_iter()
         .map(|((brand, ptype, size), supps)| {
@@ -741,6 +692,6 @@ pub(super) fn q16(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 48);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }

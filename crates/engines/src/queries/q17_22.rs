@@ -1,26 +1,16 @@
 //! TPC-H Q17–Q22.
 
-use crate::exec::{charge_sort, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES};
+use super::{nation_key, rev, suppliers_of};
 use crate::error::EngineError;
-use crate::storage::TpchDb;
+use crate::exec::{
+    charge_sort, finish, maybe_materialize, scan_phase, sum_maps, Map, QueryCtx, Set, ShadowHash,
+    LIKE_CYCLES,
+};
+use crate::storage::{Table, TpchDb};
 use crate::value::{d, i, s, Row};
 use nqp_datagen::tpch::dates;
 use nqp_sim::NumaSim;
 use nqp_storage::SimHeap;
-
-
-fn finish(
-    sim: &mut NumaSim,
-    heap: &mut SimHeap,
-    f: impl FnOnce(&mut nqp_sim::Worker<'_>, &mut SimHeap),
-) {
-    let mut f = Some(f);
-    sim.serial(heap, |w, heap| {
-        if let Some(f) = f.take() {
-            f(w, heap);
-        }
-    });
-}
 
 /// Q17: small-quantity-order revenue — Brand#23 MED BOX lineitems below
 /// 20% of the part's average quantity; average yearly loss.
@@ -31,35 +21,37 @@ pub(super) fn q17(
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
     type Stats = Map<i64, (i64, i64, Vec<(i64, i64)>)>; // pk -> (sum qty, count, [(qty, price)])
+    let pt = db.table(Table::Part);
+    let [p_brand, p_container] = pt.cols(["p_brand", "p_container"])?;
+    let [l_partkey, l_quantity, l_extendedprice] =
+        db.table(Table::Lineitem).cols(["l_partkey", "l_quantity", "l_extendedprice"])?;
     let stats: Stats = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, _, db| {
-            let pt = db.table("part");
             let parts: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_brand", r);
-                    pt.charge(w, "p_container", r);
+                    p_brand.charge(w, r);
+                    p_container.charge(w, r);
                     let p = &db.data.part;
                     p.p_brand[r] == "Brand#23" && p.p_container[r] == "MED BOX"
                 })
                 .map(|r| db.data.part.p_partkey[r])
                 .collect();
-            (parts, ShadowHash::new(w, 1024))
+            Ok((parts, ShadowHash::new(w, 1024)))
         },
         |w, _, db, (parts, shadow), row, local: &mut Stats| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_partkey", row);
+            l_partkey.charge(w, row);
             let li = &db.data.lineitem;
             shadow.probe(w, li.l_partkey[row] as u64);
             if !parts.contains(&li.l_partkey[row]) {
                 return;
             }
-            t.charge(w, "l_quantity", row);
-            t.charge(w, "l_extendedprice", row);
+            l_quantity.charge(w, row);
+            l_extendedprice.charge(w, row);
             let e = local.entry(li.l_partkey[row]).or_default();
             e.0 += li.l_quantity[row];
             e.1 += 1;
@@ -77,7 +69,7 @@ pub(super) fn q17(
             }
             m
         },
-    );
+    )?;
     // Items with quantity < 0.2 * avg(quantity) for their part.
     let mut total: i64 = 0;
     for (_, (sum_qty, count, items)) in &stats {
@@ -90,7 +82,7 @@ pub(super) fn q17(
     }
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, stats.len(), 24);
-    });
+    })?;
     // avg_yearly = total / 7.0, in cents.
     Ok(vec![vec![i(total / 7)]])
 }
@@ -102,6 +94,11 @@ pub(super) fn q18(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let [l_orderkey, l_quantity] = db.table(Table::Lineitem).cols(["l_orderkey", "l_quantity"])?;
+    let ot = db.table(Table::Orders);
+    let o_orderkey = ot.col("o_orderkey")?;
+    let out_cols = ot.cols(["o_custkey", "o_orderdate", "o_totalprice"])?;
+    let c_name = db.table(Table::Customer).col("c_name")?;
     // Phase 1: total quantity per order.
     type QMap = Map<i64, i64>;
     let qty: QMap = scan_phase(
@@ -109,12 +106,11 @@ pub(super) fn q18(
         heap,
         db,
         ctx,
-        "lineitem",
-        |w, _, _| ShadowHash::new(w, 4096),
+        Table::Lineitem,
+        |w, _, _| Ok(ShadowHash::new(w, 4096)),
         |w, heap, db, shadow, row, local: &mut QMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_orderkey", row);
-            t.charge(w, "l_quantity", row);
+            l_orderkey.charge(w, row);
+            l_quantity.charge(w, row);
             let li = &db.data.lineitem;
             let key = li.l_orderkey[row];
             if local.contains_key(&key) {
@@ -124,16 +120,8 @@ pub(super) fn q18(
             }
             *local.entry(key).or_default() += li.l_quantity[row];
         },
-        |_, _, _, locals| {
-            let mut m = QMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let big: Map<i64, i64> =
         qty.into_iter().filter(|&(_, q)| q > 300).collect();
     // Phase 2: the qualifying orders, joined with customers.
@@ -143,7 +131,7 @@ pub(super) fn q18(
         heap,
         db,
         ctx,
-        "orders",
+        Table::Orders,
         |w, heap, db| {
             let shadow = ShadowHash::new(w, big.len());
             for &k in big.keys() {
@@ -157,19 +145,18 @@ pub(super) fn q18(
                 .enumerate()
                 .map(|(r, &k)| (k, r))
                 .collect();
-            (shadow, ckey_to_row)
+            Ok((shadow, ckey_to_row))
         },
         |w, _, db, (shadow, ckey_to_row), row, local: &mut Out| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderkey", row);
+            o_orderkey.charge(w, row);
             let o = &db.data.orders;
             shadow.probe(w, o.o_orderkey[row] as u64);
             let Some(&q) = big.get(&o.o_orderkey[row]) else { return };
-            for col in ["o_custkey", "o_orderdate", "o_totalprice"] {
-                t.charge(w, col, row);
+            for col in out_cols {
+                col.charge(w, row);
             }
             let cr = ckey_to_row[&o.o_custkey[row]];
-            db.table("customer").charge(w, "c_name", cr);
+            c_name.charge(w, cr);
             local.push(vec![
                 s(db.data.customer.c_name[cr].clone()),
                 i(o.o_custkey[row]),
@@ -180,7 +167,7 @@ pub(super) fn q18(
             ]);
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     let mut rows = rows;
     rows.sort_by(|a, b| {
         b[4].as_i()
@@ -193,7 +180,7 @@ pub(super) fn q18(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 64);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -210,19 +197,30 @@ pub(super) fn q19(
         container: String,
         size: i64,
     }
+    let pt = db.table(Table::Part);
+    let part_cols = pt.cols(["p_brand", "p_container", "p_size"])?;
+    let lt = db.table(Table::Lineitem);
+    let [l_shipmode, l_shipinstruct, l_partkey, l_quantity, l_extendedprice, l_discount] =
+        lt.cols([
+            "l_shipmode",
+            "l_shipinstruct",
+            "l_partkey",
+            "l_quantity",
+            "l_extendedprice",
+            "l_discount",
+        ])?;
     let total: i64 = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, _, db| {
-            let pt = db.table("part");
             let parts: Map<i64, PartInfo> = (0..pt.nrows())
                 .map(|r| {
-                    pt.charge(w, "p_brand", r);
-                    pt.charge(w, "p_container", r);
-                    pt.charge(w, "p_size", r);
+                    for col in part_cols {
+                        col.charge(w, r);
+                    }
                     let p = &db.data.part;
                     (
                         p.p_partkey[r],
@@ -234,12 +232,11 @@ pub(super) fn q19(
                     )
                 })
                 .collect();
-            (parts, ShadowHash::new(w, db.table("part").nrows()))
+            Ok((parts, ShadowHash::new(w, pt.nrows())))
         },
         |w, _, db, (parts, shadow), row, local: &mut i64| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipmode", row);
-            t.charge(w, "l_shipinstruct", row);
+            l_shipmode.charge(w, row);
+            l_shipinstruct.charge(w, row);
             let li = &db.data.lineitem;
             let mode = &li.l_shipmode[row];
             if (mode != "AIR" && mode != "REG AIR")
@@ -247,8 +244,8 @@ pub(super) fn q19(
             {
                 return;
             }
-            t.charge(w, "l_partkey", row);
-            t.charge(w, "l_quantity", row);
+            l_partkey.charge(w, row);
+            l_quantity.charge(w, row);
             shadow.probe(w, li.l_partkey[row] as u64);
             let p = &parts[&li.l_partkey[row]];
             let q = li.l_quantity[row];
@@ -268,16 +265,16 @@ pub(super) fn q19(
                     && (20..=30).contains(&q)
                     && (1..=15).contains(&p.size));
             if hit {
-                t.charge(w, "l_extendedprice", row);
-                t.charge(w, "l_discount", row);
-                *local += li.l_extendedprice[row] * (100 - li.l_discount[row]) / 100;
+                l_extendedprice.charge(w, row);
+                l_discount.charge(w, row);
+                *local += rev(li.l_extendedprice[row], li.l_discount[row]);
             }
         },
         |_, _, _, locals| locals.into_iter().sum(),
-    );
+    )?;
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, 1, 8);
-    });
+    })?;
     Ok(vec![vec![i(total)]])
 }
 
@@ -291,6 +288,15 @@ pub(super) fn q20(
 ) -> Result<Vec<Row>, EngineError> {
     let lo = dates::parse("1994-01-01")?;
     let hi = dates::add_years(lo, 1);
+    let nk = nation_key(db, "CANADA")?;
+    let pt = db.table(Table::Part);
+    let p_name = pt.col("p_name")?;
+    let s_nationkey = db.table(Table::Supplier).col("s_nationkey")?;
+    let [l_shipdate, l_partkey, l_suppkey, l_quantity] = db
+        .table(Table::Lineitem)
+        .cols(["l_shipdate", "l_partkey", "l_suppkey", "l_quantity"])?;
+    let [ps_suppkey, ps_partkey, ps_availqty] =
+        db.table(Table::PartSupp).cols(["ps_suppkey", "ps_partkey", "ps_availqty"])?;
     // Phase 1: 1994 shipped quantity per (part, supplier) for forest parts.
     type SMap = Map<(i64, i64), i64>;
     let shipped: SMap = scan_phase(
@@ -298,47 +304,37 @@ pub(super) fn q20(
         heap,
         db,
         ctx,
-        "lineitem",
+        Table::Lineitem,
         |w, _, db| {
-            let pt = db.table("part");
             let forest: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_name", r);
+                    p_name.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     db.data.part.p_name[r].starts_with("forest")
                 })
                 .map(|r| db.data.part.p_partkey[r])
                 .collect();
-            (forest, ShadowHash::new(w, 1024))
+            Ok((forest, ShadowHash::new(w, 1024)))
         },
         |w, _, db, (forest, shadow), row, local: &mut SMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] >= hi {
                 return;
             }
-            t.charge(w, "l_partkey", row);
+            l_partkey.charge(w, row);
             shadow.probe(w, li.l_partkey[row] as u64);
             if !forest.contains(&li.l_partkey[row]) {
                 return;
             }
-            t.charge(w, "l_suppkey", row);
-            t.charge(w, "l_quantity", row);
+            l_suppkey.charge(w, row);
+            l_quantity.charge(w, row);
             *local
                 .entry((li.l_partkey[row], li.l_suppkey[row]))
                 .or_default() += li.l_quantity[row];
         },
-        |_, _, _, locals| {
-            let mut m = SMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     // Phase 2: partsupp rows with availqty > half the shipped quantity.
     type Supps = Set<i64>;
     let qualifying: Supps = scan_phase(
@@ -346,39 +342,23 @@ pub(super) fn q20(
         heap,
         db,
         ctx,
-        "partsupp",
+        Table::PartSupp,
         |w, heap, db| {
-            let nk: i64 = db
-                .data
-                .nation
-                .n_name
-                .iter()
-                .position(|n| n == "CANADA")
-                .map(|r| db.data.nation.n_nationkey[r])
-                .expect("CANADA exists");
-            let st = db.table("supplier");
-            let canada: Set<i64> = (0..st.nrows())
-                .filter(|&r| {
-                    st.charge(w, "s_nationkey", r);
-                    db.data.supplier.s_nationkey[r] == nk
-                })
-                .map(|r| db.data.supplier.s_suppkey[r])
-                .collect();
+            let canada = suppliers_of(w, db, s_nationkey, nk);
             let shadow = ShadowHash::new(w, shipped.len());
             for &(pk, sk) in shipped.keys() {
                 shadow.insert(w, heap, (pk as u64) << 32 | sk as u64);
             }
-            (canada, shadow)
+            Ok((canada, shadow))
         },
         |w, _, db, (canada, shadow), row, local: &mut Supps| {
-            let t = db.table("partsupp");
-            t.charge(w, "ps_suppkey", row);
+            ps_suppkey.charge(w, row);
             let ps = &db.data.partsupp;
             if !canada.contains(&ps.ps_suppkey[row]) {
                 return;
             }
-            t.charge(w, "ps_partkey", row);
-            t.charge(w, "ps_availqty", row);
+            ps_partkey.charge(w, row);
+            ps_availqty.charge(w, row);
             let key = (ps.ps_partkey[row], ps.ps_suppkey[row]);
             shadow.probe(w, (key.0 as u64) << 32 | key.1 as u64);
             let Some(&q) = shipped.get(&key) else { return };
@@ -388,7 +368,7 @@ pub(super) fn q20(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     let skey_to_row: Map<i64, usize> = db
         .data
         .supplier
@@ -412,7 +392,7 @@ pub(super) fn q20(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 32);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -431,17 +411,23 @@ pub(super) fn q21(
         late: Vec<i64>,
     }
     type OMap = Map<i64, OrderInfo>;
+    let nk = nation_key(db, "SAUDI ARABIA")?;
+    let s_nationkey = db.table(Table::Supplier).col("s_nationkey")?;
+    let line_cols = db
+        .table(Table::Lineitem)
+        .cols(["l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"])?;
+    let [o_orderstatus, o_orderkey] =
+        db.table(Table::Orders).cols(["o_orderstatus", "o_orderkey"])?;
     let per_order: OMap = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
-        |w, _, _| ShadowHash::new(w, 4096),
+        Table::Lineitem,
+        |w, _, _| Ok(ShadowHash::new(w, 4096)),
         |w, heap, db, shadow, row, local: &mut OMap| {
-            let t = db.table("lineitem");
-            for col in ["l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"] {
-                t.charge(w, col, row);
+            for col in line_cols {
+                col.charge(w, row);
             }
             let li = &db.data.lineitem;
             let key = li.l_orderkey[row];
@@ -478,7 +464,7 @@ pub(super) fn q21(
             }
             m
         },
-    );
+    )?;
     // Phase 2: 'F' orders where exactly one supplier is late, that
     // supplier is Saudi, and the order has other suppliers.
     type WMap = Map<i64, i64>; // suppkey -> numwait
@@ -487,38 +473,22 @@ pub(super) fn q21(
         heap,
         db,
         ctx,
-        "orders",
+        Table::Orders,
         |w, heap, db| {
-            let nk: i64 = db
-                .data
-                .nation
-                .n_name
-                .iter()
-                .position(|n| n == "SAUDI ARABIA")
-                .map(|r| db.data.nation.n_nationkey[r])
-                .expect("SAUDI ARABIA exists");
-            let st = db.table("supplier");
-            let saudi: Set<i64> = (0..st.nrows())
-                .filter(|&r| {
-                    st.charge(w, "s_nationkey", r);
-                    db.data.supplier.s_nationkey[r] == nk
-                })
-                .map(|r| db.data.supplier.s_suppkey[r])
-                .collect();
+            let saudi = suppliers_of(w, db, s_nationkey, nk);
             let shadow = ShadowHash::new(w, per_order.len());
             for &k in per_order.keys() {
                 shadow.insert(w, heap, k as u64);
             }
-            (saudi, shadow)
+            Ok((saudi, shadow))
         },
         |w, _, db, (saudi, shadow), row, local: &mut WMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderstatus", row);
+            o_orderstatus.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderstatus[row] != "F" {
                 return;
             }
-            t.charge(w, "o_orderkey", row);
+            o_orderkey.charge(w, row);
             shadow.probe(w, o.o_orderkey[row] as u64);
             let Some(info) = per_order.get(&o.o_orderkey[row]) else { return };
             if info.late.len() != 1 || info.supps.len() < 2 {
@@ -529,16 +499,8 @@ pub(super) fn q21(
                 *local.entry(culprit).or_default() += 1;
             }
         },
-        |_, _, _, locals| {
-            let mut m = WMap::default();
-            for l in locals {
-                for (k, v) in l {
-                    *m.entry(k).or_default() += v;
-                }
-            }
-            m
-        },
-    );
+        |_, _, _, locals| sum_maps(locals),
+    )?;
     let skey_to_row: Map<i64, usize> = db
         .data
         .supplier
@@ -557,7 +519,7 @@ pub(super) fn q21(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 24);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -570,24 +532,26 @@ pub(super) fn q22(
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
     const CODES: [&str; 7] = ["13", "31", "23", "29", "30", "18", "17"];
+    let o_custkey = db.table(Table::Orders).col("o_custkey")?;
+    let [c_phone, c_acctbal, c_custkey] =
+        db.table(Table::Customer).cols(["c_phone", "c_acctbal", "c_custkey"])?;
     // Phase 1: custkeys that have orders (anti-join side).
     let has_orders: Set<i64> = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "orders",
-        |w, _, _| ShadowHash::new(w, 4096),
+        Table::Orders,
+        |w, _, _| Ok(ShadowHash::new(w, 4096)),
         |w, heap, db, shadow, row, local: &mut Set<i64>| {
-            let t = db.table("orders");
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             let ck = db.data.orders.o_custkey[row];
             if local.insert(ck) {
                 shadow.insert(w, heap, ck as u64);
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: candidate customers and the average positive balance.
     type Cands = Vec<(String, i64, i64)>; // (code, custkey, acctbal)
     type Loc = (Cands, i64, i64); // candidates, sum(+bal), count(+bal)
@@ -596,24 +560,23 @@ pub(super) fn q22(
         heap,
         db,
         ctx,
-        "customer",
-        |w, _, _| ShadowHash::new(w, has_orders.len()),
+        Table::Customer,
+        |w, _, _| Ok(ShadowHash::new(w, has_orders.len())),
         |w, _, db, shadow, row, local: &mut Loc| {
-            let t = db.table("customer");
-            t.charge(w, "c_phone", row);
+            c_phone.charge(w, row);
             w.compute(LIKE_CYCLES);
             let c = &db.data.customer;
             let code = &c.c_phone[row][0..2];
             if !CODES.contains(&code) {
                 return;
             }
-            t.charge(w, "c_acctbal", row);
+            c_acctbal.charge(w, row);
             let bal = c.c_acctbal[row];
             if bal > 0 {
                 local.1 += bal;
                 local.2 += 1;
             }
-            t.charge(w, "c_custkey", row);
+            c_custkey.charge(w, row);
             shadow.probe(w, c.c_custkey[row] as u64);
             if !has_orders.contains(&c.c_custkey[row]) {
                 local.0.push((code.to_string(), c.c_custkey[row], bal));
@@ -629,7 +592,7 @@ pub(super) fn q22(
             }
             (cands, s, c)
         },
-    );
+    )?;
     let avg = if cnt_bal == 0 { 0 } else { sum_bal / cnt_bal };
     type GMap = Map<String, (i64, i64)>;
     let mut groups: GMap = GMap::default();
@@ -649,6 +612,6 @@ pub(super) fn q22(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 24);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }

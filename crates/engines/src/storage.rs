@@ -7,16 +7,74 @@
 //! dense array of just that column. That difference is the layout term
 //! of the engine profiles.
 
+use crate::error::EngineError;
 use crate::profiles::Layout;
 use nqp_datagen::tpch::TpchData;
 use nqp_sim::{Access, NumaSim, VAddr, Worker};
 use nqp_storage::SimHeap;
-use std::collections::HashMap;
 
-/// `(column name, width in bytes)` per table, in schema order. Strings
-/// are shadowed at 16 bytes (pointer + length/prefix), dates at 4,
-/// integers and decimals at 8.
-const SCHEMAS: &[(&str, &[(&str, u64)])] = &[
+/// The eight TPC-H tables, in schema order. A plan names its tables
+/// with this enum, so a table lookup is an array index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Table {
+    /// `region`
+    Region,
+    /// `nation`
+    Nation,
+    /// `supplier`
+    Supplier,
+    /// `customer`
+    Customer,
+    /// `part`
+    Part,
+    /// `partsupp`
+    PartSupp,
+    /// `orders`
+    Orders,
+    /// `lineitem`
+    Lineitem,
+}
+
+impl Table {
+    /// All eight, in schema order.
+    pub const ALL: [Table; 8] = [
+        Table::Region,
+        Table::Nation,
+        Table::Supplier,
+        Table::Customer,
+        Table::Part,
+        Table::PartSupp,
+        Table::Orders,
+        Table::Lineitem,
+    ];
+
+    /// The SQL table name.
+    pub fn name(self) -> &'static str {
+        SCHEMAS[self as usize].0
+    }
+
+    fn schema(self) -> &'static [(&'static str, u64)] {
+        SCHEMAS[self as usize].1
+    }
+
+    fn rows(self, data: &TpchData) -> usize {
+        match self {
+            Table::Region => data.region.r_regionkey.len(),
+            Table::Nation => data.nation.n_nationkey.len(),
+            Table::Supplier => data.supplier.s_suppkey.len(),
+            Table::Customer => data.customer.c_custkey.len(),
+            Table::Part => data.part.p_partkey.len(),
+            Table::PartSupp => data.partsupp.ps_partkey.len(),
+            Table::Orders => data.orders.o_orderkey.len(),
+            Table::Lineitem => data.lineitem.l_orderkey.len(),
+        }
+    }
+}
+
+/// `(column name, width in bytes)` per table, in [`Table`] order and
+/// schema order. Strings are shadowed at 16 bytes (pointer +
+/// length/prefix), dates at 4, integers and decimals at 8.
+const SCHEMAS: [(&str, &[(&str, u64)]); 8] = [
     ("region", &[("r_regionkey", 8), ("r_name", 16), ("r_comment", 16)]),
     (
         "nation",
@@ -108,32 +166,61 @@ const SCHEMAS: &[(&str, &[(&str, u64)])] = &[
     ),
 ];
 
+/// A resolved column handle: where cell `row` of one column lives in
+/// simulated memory. Covers both layouts — a column store has
+/// `stride == width`, a row store has `base = tuple base + offset` and
+/// `stride = tuple width` — so reading a cell costs no name lookup.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Col {
+    base: VAddr,
+    stride: u64,
+    width: u64,
+}
+
+impl Col {
+    /// Charge the cost of reading this column of `row`.
+    #[inline]
+    pub fn charge(self, w: &mut Worker<'_>, row: usize) {
+        self.touch(w, row, Access::Read);
+    }
+
+    #[inline]
+    fn touch(self, w: &mut Worker<'_>, row: usize, access: Access) {
+        w.touch(self.base + row as u64 * self.stride, self.width, access);
+    }
+}
+
 /// The storage shadow of one table.
 #[derive(Debug)]
 pub struct TableShadow {
-    layout: Layout,
+    table: Table,
     nrows: usize,
-    /// Row layout: tuple width. Column layout: unused.
-    row_bytes: u64,
-    /// Row layout: tuple base. Column layout: unused.
-    row_base: VAddr,
-    /// Per column: `(offset within row | column base, width)`.
-    cols: HashMap<&'static str, (VAddr, u64)>,
+    /// Row layout: `(tuple base, tuple width)`. Column layout: `None`.
+    tuples: Option<(VAddr, u64)>,
+    /// Every column's handle, in schema order.
+    cols: Vec<(&'static str, Col)>,
 }
 
 impl TableShadow {
-    /// Charge the cost of reading `col` of `row`.
-    #[inline]
-    pub fn charge(&self, w: &mut Worker<'_>, col: &str, row: usize) {
-        let &(pos, width) = self
-            .cols
-            .get(col)
-            .unwrap_or_else(|| panic!("unknown column {col}"));
-        let addr = match self.layout {
-            Layout::Column => pos + row as u64 * width,
-            Layout::Row => self.row_base + row as u64 * self.row_bytes + pos,
-        };
-        w.touch(addr, width, Access::Read);
+    /// Resolve `name` to a column handle, once per plan.
+    pub fn col(&self, name: &str) -> Result<Col, EngineError> {
+        self.cols
+            .iter()
+            .find(|&&(c, _)| c == name)
+            .map(|&(_, col)| col)
+            .ok_or_else(|| EngineError::UnknownColumn {
+                table: self.table.name(),
+                column: name.to_string(),
+            })
+    }
+
+    /// Resolve several columns at once, in order.
+    pub fn cols<const N: usize>(&self, names: [&str; N]) -> Result<[Col; N], EngineError> {
+        let mut out = [Col::default(); N];
+        for (slot, name) in out.iter_mut().zip(names) {
+            *slot = self.col(name)?;
+        }
+        Ok(out)
     }
 
     /// Rows in the table.
@@ -154,7 +241,8 @@ impl TableShadow {
 pub struct TpchDb {
     /// The generated data (exact values for query evaluation).
     pub data: TpchData,
-    tables: HashMap<&'static str, TableShadow>,
+    /// One shadow per [`Table`], indexed by it.
+    tables: Vec<TableShadow>,
 }
 
 impl TpchDb {
@@ -167,23 +255,11 @@ impl TpchDb {
         data: &TpchData,
         layout: Layout,
         threads: usize,
-    ) -> Self {
-        let row_count = |name: &str| -> usize {
-            match name {
-                "region" => data.region.r_regionkey.len(),
-                "nation" => data.nation.n_nationkey.len(),
-                "supplier" => data.supplier.s_suppkey.len(),
-                "customer" => data.customer.c_custkey.len(),
-                "part" => data.part.p_partkey.len(),
-                "partsupp" => data.partsupp.ps_partkey.len(),
-                "orders" => data.orders.o_orderkey.len(),
-                "lineitem" => data.lineitem.l_orderkey.len(),
-                other => panic!("unknown table {other}"),
-            }
-        };
-        let mut tables = HashMap::new();
-        for &(name, schema) in SCHEMAS {
-            let nrows = row_count(name);
+    ) -> Result<Self, EngineError> {
+        let mut tables = Vec::with_capacity(Table::ALL.len());
+        for table in Table::ALL {
+            let schema = table.schema();
+            let nrows = table.rows(data);
             let shadow = match layout {
                 Layout::Row => {
                     // Row stores read tuples through a shared buffer
@@ -193,33 +269,33 @@ impl TpchDb {
                     // column files).
                     let row_bytes: u64 = schema.iter().map(|&(_, wd)| wd).sum();
                     let mut base = 0;
-                    sim.serial(&mut base, |w, base| {
+                    sim.try_serial(&mut base, |w, base| {
                         *base = w.map_pages_shared((nrows as u64 * row_bytes).max(1));
-                    });
+                    })?;
                     let mut off = 0;
                     let cols = schema
                         .iter()
-                        .map(|&(cname, wd)| {
-                            let entry = (cname, (off, wd));
-                            off += wd;
-                            entry
+                        .map(|&(cname, width)| {
+                            let col = Col { base: base + off, stride: row_bytes, width };
+                            off += width;
+                            (cname, col)
                         })
                         .collect();
-                    TableShadow { layout, nrows, row_bytes, row_base: base, cols }
+                    TableShadow { table, nrows, tuples: Some((base, row_bytes)), cols }
                 }
                 Layout::Column => {
-                    let mut cols = HashMap::new();
-                    for &(cname, wd) in schema {
+                    let mut cols = Vec::with_capacity(schema.len());
+                    for &(cname, width) in schema {
                         let mut base = 0;
-                        sim.serial(&mut base, |w, base| {
-                            *base = w.map_pages((nrows as u64 * wd).max(1));
-                        });
-                        cols.insert(cname, (base, wd));
+                        sim.try_serial(&mut base, |w, base| {
+                            *base = w.map_pages((nrows as u64 * width).max(1));
+                        })?;
+                        cols.push((cname, Col { base, stride: width, width }));
                     }
-                    TableShadow { layout, nrows, row_bytes: 0, row_base: 0, cols }
+                    TableShadow { table, nrows, tuples: None, cols }
                 }
             };
-            tables.insert(name, shadow);
+            tables.push(shadow);
         }
         let db = TpchDb { data: data.clone(), tables };
         // Fault everything in, partitioned across the workers. Each
@@ -227,33 +303,28 @@ impl TpchDb {
         // shards across host threads (`SimConfig::shards`) with
         // deterministic epoch merges — byte-identical at any shard
         // count, same as the W1–W4 relation loaders.
-        for &(name, schema) in SCHEMAS {
-            let shadow = &db.tables[name];
-            sim.parallel_sharded(threads, shadow, |w, shadow| {
+        for shadow in &db.tables {
+            sim.try_parallel_sharded(threads, shadow, |w, shadow| {
                 for row in shadow.partition(w.tid(), threads) {
-                    match layout {
-                        Layout::Row => {
-                            let addr = shadow.row_base + row as u64 * shadow.row_bytes;
-                            w.touch(addr, shadow.row_bytes, Access::Write);
+                    match shadow.tuples {
+                        Some((base, bytes)) => {
+                            w.touch(base + row as u64 * bytes, bytes, Access::Write);
                         }
-                        Layout::Column => {
-                            for &(cname, _) in schema {
-                                let &(base, wd) = &shadow.cols[cname];
-                                w.touch(base + row as u64 * wd, wd, Access::Write);
+                        None => {
+                            for &(_, col) in &shadow.cols {
+                                col.touch(w, row, Access::Write);
                             }
                         }
                     }
                 }
-            });
+            })?;
         }
-        db
+        Ok(db)
     }
 
-    /// The shadow of `name`.
-    pub fn table(&self, name: &str) -> &TableShadow {
-        self.tables
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown table {name}"))
+    /// The shadow of `table`.
+    pub fn table(&self, table: Table) -> &TableShadow {
+        &self.tables[table as usize]
     }
 }
 
@@ -270,18 +341,18 @@ mod tests {
         );
         let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
         let data = TpchData::generate(0.001, 3);
-        let db = TpchDb::load(&mut sim, &mut heap, &data, layout, 4);
+        let db = TpchDb::load(&mut sim, &mut heap, &data, layout, 4).expect("load");
         (sim, db)
     }
 
     #[test]
     fn all_eight_tables_load() {
         let (_, db) = setup(Layout::Column);
-        for &(name, _) in SCHEMAS {
-            assert!(db.table(name).nrows() > 0, "{name} empty");
+        for table in Table::ALL {
+            assert!(db.table(table).nrows() > 0, "{} empty", table.name());
         }
-        assert_eq!(db.table("region").nrows(), 5);
-        assert_eq!(db.table("nation").nrows(), 25);
+        assert_eq!(db.table(Table::Region).nrows(), 5);
+        assert_eq!(db.table(Table::Nation).nrows(), 25);
     }
 
     #[test]
@@ -290,9 +361,10 @@ mod tests {
             let (mut sim, db) = setup(layout);
             let before = sim.now_cycles();
             sim.serial(&mut (), |w, _| {
-                let li = db.table("lineitem");
+                let li = db.table(Table::Lineitem);
+                let ship = li.col("l_shipdate").expect("known column");
                 for row in 0..li.nrows() {
-                    li.charge(w, "l_shipdate", row);
+                    ship.charge(w, row);
                 }
             });
             sim.now_cycles() - before
@@ -306,16 +378,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown column")]
-    fn unknown_column_panics() {
-        let (mut sim, db) = setup(Layout::Column);
-        sim.serial(&mut (), |w, _| db.table("orders").charge(w, "nope", 0));
+    fn unknown_columns_are_typed_plan_time_errors() {
+        for layout in [Layout::Column, Layout::Row] {
+            let (_, db) = setup(layout);
+            let err = db.table(Table::Orders).col("nope").expect_err("no such column");
+            assert_eq!(
+                err,
+                EngineError::UnknownColumn { table: "orders", column: "nope".into() }
+            );
+            assert!(err.to_string().contains("orders.nope"));
+            assert!(db.table(Table::Lineitem).cols(["l_tax", "o_orderkey"]).is_err());
+        }
+    }
+
+    #[test]
+    fn handles_address_the_old_layout_formulas() {
+        // Column store: one dense array per column (stride = width).
+        // Row store: every column inside one tuple array (stride = the
+        // tuple width, base = tuple base + the column's offset).
+        let (_, col_db) = setup(Layout::Column);
+        let c = col_db.table(Table::Orders).col("o_orderdate").expect("known");
+        assert_eq!((c.stride, c.width), (4, 4));
+        let (_, row_db) = setup(Layout::Row);
+        let t = row_db.table(Table::Orders);
+        let (base, row_bytes) = t.tuples.expect("row layout has tuples");
+        let offset: u64 = [8, 8, 16, 8].iter().sum(); // columns before o_orderdate
+        let r = t.col("o_orderdate").expect("known");
+        assert_eq!(r, Col { base: base + offset, stride: row_bytes, width: 4 });
+        let [key, comment] = t.cols(["o_orderkey", "o_comment"]).expect("known");
+        assert_eq!(key.base, base);
+        assert_eq!(comment.base + comment.width, base + row_bytes);
     }
 
     #[test]
     fn partitions_tile_rows() {
         let (_, db) = setup(Layout::Column);
-        let li = db.table("lineitem");
+        let li = db.table(Table::Lineitem);
         let mut total = 0;
         for tid in 0..5 {
             total += li.partition(tid, 5).len();

@@ -22,8 +22,10 @@ cargo test -q --workspace --lib --offline
 # (tests are exempt); this clippy pass makes the deny effective.
 # nqp-query and nqp-storage joined the deny list with the vectorized
 # operator path: both engines' operators are harness-path code.
+# nqp-engines joined with the fallible TPC-H path: its regions run on
+# the simulator's try_ entry points and plan failures are typed.
 cargo clippy -p nqp-sim -p nqp-core -p nqp-trace -p nqp-serve -p nqp-advisor -p nqp-tier \
-  -p nqp-query -p nqp-storage --lib --offline
+  -p nqp-query -p nqp-storage -p nqp-engines --lib --offline
 
 # Crash-safe resume smoke test: interrupt a journaled sweep after two
 # cells, resume it from the journal, and require the resumed table to
@@ -268,5 +270,20 @@ for bad in '--engine bogus' '--batch-size 0' '--batch-size 99999999999'; do
 done
 ("$CLI" workload w1 --machine B --n 500 --card 50 --engine bogus 2>&1 || true) \
   | grep -q '`bogus`'
+
+# Malformed numeric flags are typed BadSpec errors naming the flag and
+# the token: nonzero exit, and no run with the flag's default instead.
+for bad in '--threads abc' '--n 1e3' '--card -5' '--seed x1' '--trials two' \
+           '--retries 2.5' '--max-cells many' '--trial-budget 9e9'; do
+  flag=${bad%% *}
+  # shellcheck disable=SC2086
+  if "$CLI" sweep w1 --machine B --n 500 --card 50 $bad > "$SMOKE/nout.txt" 2> "$SMOKE/nbad.err"; then
+    echo "check.sh: \`sweep $bad\` must exit nonzero" >&2
+    exit 1
+  fi
+  grep -q -- "malformed $flag spec" "$SMOKE/nbad.err"
+  grep -q "\`${bad#* }\`" "$SMOKE/nbad.err"
+  test ! -s "$SMOKE/nout.txt"
+done
 
 echo "check.sh: all gates passed"

@@ -182,6 +182,28 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>)
     Ok((positional, flags))
 }
 
+/// A numeric flag: `None` when absent; a present but malformed value is
+/// a typed `--<key>` BadSpec error, never a silent fall back to the
+/// caller's default.
+fn num_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|token| {
+            token.parse().map_err(|_| {
+                SimError::BadSpec {
+                    flag: format!("--{key}"),
+                    token: token.clone(),
+                    why: "expected a non-negative integer".into(),
+                }
+                .to_string()
+            })
+        })
+        .transpose()
+}
+
 fn machine_arg(flags: &HashMap<String, String>) -> Result<MachineSpec, String> {
     let name = flags.get("machine").map(String::as_str).unwrap_or("A");
     nqp::sim::machine_by_name(name).map_err(|e| e.to_string())
@@ -338,16 +360,14 @@ fn config_from_flags(
         let kind = AllocatorKind::parse(a).ok_or_else(|| format!("unknown allocator `{a}`"))?;
         cfg = cfg.with_allocator(kind);
     }
-    if let Some(s) = flags.get("seed") {
-        let seed: u64 = s.parse().map_err(|_| format!("bad seed `{s}`"))?;
+    if let Some(seed) = num_flag(flags, "seed")? {
         cfg.sim = cfg.sim.with_seed(seed);
     }
     if let Some(spec) = flags.get("faults") {
         let plan = FaultPlan::parse(spec, cfg.sim.seed).map_err(|e| e.to_string())?;
         cfg = cfg.with_faults(plan);
     }
-    if let Some(b) = flags.get("trial-budget") {
-        let cycles: u64 = b.parse().map_err(|_| format!("bad --trial-budget `{b}`"))?;
+    if let Some(cycles) = num_flag(flags, "trial-budget")? {
         cfg = cfg.with_trial_budget(cycles);
     }
     // --batch-size only resizes the vectorized path's host-side staging
@@ -402,13 +422,11 @@ enum WorkloadPlan {
 
 impl WorkloadPlan {
     fn parse(which: &str, flags: &HashMap<String, String>) -> Result<Self, String> {
-        let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
+        let seed: u64 = num_flag(flags, "seed")?.unwrap_or(42);
         match which {
             "w1" | "w2" => {
-                let n: usize =
-                    flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(300_000);
-                let card: u64 =
-                    flags.get("card").and_then(|s| s.parse().ok()).unwrap_or(75_000);
+                let n: usize = num_flag(flags, "n")?.unwrap_or(300_000);
+                let card: u64 = num_flag(flags, "card")?.unwrap_or(75_000);
                 let mut acfg = if which == "w1" {
                     AggConfig::w1(n, card, seed)
                 } else {
@@ -421,13 +439,11 @@ impl WorkloadPlan {
                 Ok(WorkloadPlan::Agg { acfg, records })
             }
             "w3" => {
-                let r: usize =
-                    flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(30_000);
+                let r: usize = num_flag(flags, "n")?.unwrap_or(30_000);
                 Ok(WorkloadPlan::Hash { data: JoinDataset::generate(r, seed) })
             }
             "w4" => {
-                let r: usize =
-                    flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(20_000);
+                let r: usize = num_flag(flags, "n")?.unwrap_or(20_000);
                 let index = match flags.get("index").map(String::as_str).unwrap_or("B+tree")
                 {
                     "art" | "ART" => IndexKind::Art,
@@ -444,7 +460,7 @@ impl WorkloadPlan {
                 // static placement wins both, which is the workload the
                 // online advisor exists for.
                 let mut cfg = PhaseShiftConfig::small(seed);
-                if let Some(n) = flags.get("n").and_then(|s| s.parse().ok()) {
+                if let Some(n) = num_flag::<usize>(flags, "n")? {
                     cfg.shared_n = n;
                     cfg.private_n = n * 2;
                 }
@@ -523,10 +539,7 @@ fn cmd_workload(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
     let which = pos.first().ok_or("workload needs w1|w2|w3|w4")?;
     let machine = machine_arg(&flags)?;
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(machine.total_hw_threads());
+    let threads: usize = num_flag(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
     let cfg = config_from_flags(machine, &flags)?
         .with_tier(single_tier_arg(&flags)?)
         .with_engine(single_engine_arg(&flags)?);
@@ -591,8 +604,8 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
     let which = pos.first().map(String::as_str).unwrap_or("w1");
     let machine = machine_arg(&flags)?;
-    let threads: usize = flags.get("threads").and_then(|s| s.parse().ok()).unwrap_or(8);
-    let reps: usize = flags.get("reps").and_then(|s| s.parse().ok()).unwrap_or(3).max(1);
+    let threads: usize = num_flag(&flags, "threads")?.unwrap_or(8);
+    let reps: usize = num_flag(&flags, "reps")?.unwrap_or(3).max(1);
     // `--engine vec` replays the vectorized operators' access stream:
     // direct perfect-hash slot updates and ranged column reads instead
     // of hash + directory walk + chain entries. Fewer simulator calls
@@ -616,9 +629,8 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
     let mut sim = NumaSim::new(cfg.sim.clone());
     let (best_ns, lines_per_rep, label) = match which {
         "w1" => {
-            let n: u64 = flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(1_000_000);
-            let card: u64 =
-                flags.get("card").and_then(|s| s.parse().ok()).unwrap_or(n / 10).max(1);
+            let n: u64 = num_flag(&flags, "n")?.unwrap_or(1_000_000);
+            let card: u64 = num_flag(&flags, "card")?.unwrap_or(n / 10).max(1);
             // Input tuples, hash directory, entry/chain heap — the three
             // address spaces W1's build loop bounces between.
             let mut bases = (0u64, 0u64, 0u64);
@@ -710,7 +722,7 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
             (best, lines, format!("w1 n={n} card={card}"))
         }
         "w3" => {
-            let r: u64 = flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(200_000);
+            let r: u64 = num_flag(&flags, "n")?.unwrap_or(200_000);
             let s_len = r * 16;
             let mut bases = (0u64, 0u64, 0u64, 0u64);
             sim.try_serial(&mut bases, |w, b| {
@@ -877,12 +889,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
     let which = pos.first().ok_or("sweep needs w1|w2|w3|w4|wshift")?;
     let machine = machine_arg(&flags)?;
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(machine.total_hw_threads());
-    let trials: usize = flags.get("trials").and_then(|s| s.parse().ok()).unwrap_or(3);
-    let retries: u32 = flags.get("retries").and_then(|s| s.parse().ok()).unwrap_or(3);
+    let threads: usize = num_flag(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
+    let trials: usize = num_flag(&flags, "trials")?.unwrap_or(3);
+    let retries: u32 = num_flag(&flags, "retries")?.unwrap_or(3);
     let jobs: usize = match flags.get("jobs") {
         Some(s) => s
             .parse()
@@ -893,10 +902,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     };
     let supervisor = SupervisorPolicy {
         retry: RetryPolicy { max_retries: retries, ..RetryPolicy::default() },
-        watchdog_budget_cycles: flags.get("watchdog").and_then(|s| s.parse().ok()),
-        global_retry_budget: flags.get("retry-budget").and_then(|s| s.parse().ok()),
-        breaker_threshold: flags.get("breaker").and_then(|s| s.parse().ok()),
-        max_cells: flags.get("max-cells").and_then(|s| s.parse().ok()),
+        watchdog_budget_cycles: num_flag(&flags, "watchdog")?,
+        global_retry_budget: num_flag(&flags, "retry-budget")?,
+        breaker_threshold: num_flag(&flags, "breaker")?,
+        max_cells: num_flag(&flags, "max-cells")?,
     };
     let trace_dir: Option<PathBuf> = flags.get("trace-dir").map(PathBuf::from);
     let trace_epoch: u64 = match flags.get("trace-epoch") {
@@ -1271,15 +1280,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("serve needs at least one query class (w1, w2, w3, w4)".to_string());
     }
     let machine = machine_arg(&flags)?;
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(machine.total_hw_threads());
+    let threads: usize = num_flag(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
     let getu = |key: &str, default: u64| -> Result<u64, String> {
-        match flags.get(key) {
-            Some(s) => s.parse().map_err(|_| format!("bad --{key} `{s}`")),
-            None => Ok(default),
-        }
+        Ok(num_flag(&flags, key)?.unwrap_or(default))
     };
     let arrivals = ArrivalSpec::parse(
         flags.get("arrivals").map(String::as_str).unwrap_or("poisson:rate=3"),
@@ -1329,7 +1332,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("bad --jobs `{s}` (need an integer >= 1)"))?,
         None => 1,
     };
-    let max_cells: Option<usize> = flags.get("max-cells").and_then(|s| s.parse().ok());
+    let max_cells: Option<usize> = num_flag(&flags, "max-cells")?;
     let trace_dir: Option<PathBuf> = flags.get("trace-dir").map(PathBuf::from);
     if let Some(dir) = &trace_dir {
         std::fs::create_dir_all(dir)
@@ -1693,9 +1696,9 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
         WorkloadEnv::os_default(machine).with_engine(engine).with_batch(batch)
     };
     let data = TpchData::generate(sf, 42);
-    let mut db = DbSystem::boot(system, &env, &data);
-    let _cold = db.run(qnum);
-    let out = db.run(qnum);
+    let mut db = DbSystem::try_boot(system, &env, &data).map_err(|e| e.to_string())?;
+    let _cold = db.try_run(qnum).map_err(|e| e.to_string())?;
+    let out = db.try_run(qnum).map_err(|e| e.to_string())?;
     println!(
         "Q{qnum} ({}) on {}: {} cycles, {} rows",
         query_name(qnum),
